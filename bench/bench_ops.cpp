@@ -22,6 +22,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #if !defined(_WIN32)
@@ -450,6 +451,38 @@ void report_snapshot_load() {
               stream_ms_by_variant[1] / trust_ms[1]);
 }
 
+// Best-of-3 rows/s of the in-process `hdcgen serve` stack over a
+// trusted-mmap pipeline snapshot: \p stream replayed through RowReader,
+// micro-batched Server::run over the thread pool, plain predictions out.
+// Returns the rows served per run and the best rate.
+std::pair<std::size_t, double> serve_rows_per_second(
+    const std::string& snap_path, const std::string& stream,
+    std::size_t arity, hdc::serve::RowFormat format, std::size_t batch) {
+  const auto snapshot = hdc::io::MappedSnapshot::open(
+      snap_path, hdc::io::SnapshotIntegrity::Trust);
+  hdc::serve::ServerOptions options;
+  options.batch_size = batch;
+  const hdc::serve::Server server(hdc::io::Pipeline::restore(snapshot),
+                                  options);
+
+  constexpr int kRepeats = 3;
+  double best_rows_per_second = 0.0;
+  std::size_t served_rows = 0;
+  for (int repeat = 0; repeat < kRepeats; ++repeat) {
+    std::istringstream in(stream);
+    std::ostringstream out;
+    hdc::serve::RowReader reader(in, arity, format);
+    hdc::serve::PredictionWriter writer(out,
+                                        hdc::serve::OutputFormat::Plain);
+    const auto stats = server.run(reader, writer);
+    served_rows = stats.rows;
+    best_rows_per_second =
+        std::max(best_rows_per_second,
+                 static_cast<double>(stats.rows) / stats.seconds);
+  }
+  return {served_rows, best_rows_per_second};
+}
+
 // Streaming-serve throughput: the whole `hdcgen serve` stack in process —
 // CSV rows through RowReader, micro-batched over the thread pool, plain
 // predictions out — over a trusted-mmap composed Beijing pipeline.  CI
@@ -486,28 +519,8 @@ void report_serve_throughput() {
            std::to_string(0.5 * static_cast<double>((i * 7) % 48)) + '\n';
   }
 
-  const auto snapshot = hdc::io::MappedSnapshot::open(
-      snap_path, hdc::io::SnapshotIntegrity::Trust);
-  hdc::serve::ServerOptions options;
-  options.batch_size = kBatch;
-  const hdc::serve::Server server(hdc::io::Pipeline::restore(snapshot),
-                                  options);
-
-  constexpr int kRepeats = 3;
-  double best_rows_per_second = 0.0;
-  std::size_t served_rows = 0;
-  for (int repeat = 0; repeat < kRepeats; ++repeat) {
-    std::istringstream in(csv);
-    std::ostringstream out;
-    hdc::serve::RowReader reader(in, 3);
-    hdc::serve::PredictionWriter writer(out,
-                                        hdc::serve::OutputFormat::Plain);
-    const auto stats = server.run(reader, writer);
-    served_rows = stats.rows;
-    best_rows_per_second =
-        std::max(best_rows_per_second,
-                 static_cast<double>(stats.rows) / stats.seconds);
-  }
+  const auto [served_rows, best_rows_per_second] = serve_rows_per_second(
+      snap_path, csv, 3, hdc::serve::RowFormat::Csv, kBatch);
   std::filesystem::remove_all(dir);
 
   std::printf("\n[serve-throughput] d=%zu rows=%zu batch=%zu threads=%zu\n",
@@ -566,28 +579,8 @@ void report_text_throughput() {
     stream += row + '\n';
   }
 
-  const auto snapshot = hdc::io::MappedSnapshot::open(
-      snap_path, hdc::io::SnapshotIntegrity::Trust);
-  hdc::serve::ServerOptions options;
-  options.batch_size = kBatch;
-  const hdc::serve::Server server(hdc::io::Pipeline::restore(snapshot),
-                                  options);
-
-  constexpr int kRepeats = 3;
-  double best_rows_per_second = 0.0;
-  std::size_t served_rows = 0;
-  for (int repeat = 0; repeat < kRepeats; ++repeat) {
-    std::istringstream in(stream);
-    std::ostringstream out;
-    hdc::serve::RowReader reader(in, 0, hdc::serve::RowFormat::Text);
-    hdc::serve::PredictionWriter writer(out,
-                                        hdc::serve::OutputFormat::Plain);
-    const auto stats = server.run(reader, writer);
-    served_rows = stats.rows;
-    best_rows_per_second =
-        std::max(best_rows_per_second,
-                 static_cast<double>(stats.rows) / stats.seconds);
-  }
+  const auto [served_rows, best_rows_per_second] = serve_rows_per_second(
+      snap_path, stream, 0, hdc::serve::RowFormat::Text, kBatch);
   std::filesystem::remove_all(dir);
 
   std::printf("\n[text-throughput] d=%zu rows=%zu batch=%zu "
@@ -596,6 +589,54 @@ void report_text_throughput() {
               static_cast<std::size_t>(
                   std::thread::hardware_concurrency()));
   std::printf("[text-throughput] rows_per_second: %.0f\n",
+              best_rows_per_second);
+}
+
+// Key-value classifier serve throughput: the Table 1 serving shape — CSV
+// rows of 4 features, each encoded as a bundle of key (x) circular-value
+// bindings plus one threshold, then a centroid search — through the same
+// in-process stack as [serve-throughput].  Bundling is nearly all of its
+// cost, so this floor is the one that catches the bundling kernels
+// regressing.
+void report_kv_serve_throughput() {
+  constexpr std::size_t kDim = 10'240;
+  constexpr std::size_t kRows = 4'096;
+  constexpr std::size_t kBatch = 256;
+
+  const auto dir =
+      std::filesystem::temp_directory_path() /
+      ("hdcs_kv_bench_" +
+       std::to_string(static_cast<unsigned long long>(
+           std::chrono::steady_clock::now().time_since_epoch().count())));
+  std::filesystem::create_directories(dir);
+  const std::string snap_path = (dir / "classifier.hdcs").string();
+  {
+    hdc::io::fixtures::FixtureSpec spec;
+    spec.dimension = kDim;
+    const auto models = hdc::io::fixtures::make_classifier_pipeline(spec);
+    hdc::io::SnapshotWriter writer;
+    writer.add_pipeline(models.encoder, models.model);
+    writer.write_file(snap_path);
+  }
+
+  std::string csv;
+  for (std::size_t i = 0; i < kRows; ++i) {
+    for (std::size_t f = 0; f < 4; ++f) {
+      csv += std::to_string(23.0 * static_cast<double>(i) +
+                            80.0 * static_cast<double>(f));
+      csv += f + 1 < 4 ? ',' : '\n';
+    }
+  }
+  const auto [served_rows, best_rows_per_second] = serve_rows_per_second(
+      snap_path, csv, 4, hdc::serve::RowFormat::Csv, kBatch);
+  std::filesystem::remove_all(dir);
+
+  std::printf("\n[kv-serve-throughput] d=%zu rows=%zu batch=%zu "
+              "features=4 threads=%zu\n",
+              kDim, served_rows, kBatch,
+              static_cast<std::size_t>(
+                  std::thread::hardware_concurrency()));
+  std::printf("[kv-serve-throughput] rows_per_second: %.0f\n",
               best_rows_per_second);
 }
 
@@ -899,17 +940,53 @@ void report_serve_latency() {
 }
 #endif  // !defined(_WIN32)
 
+// The [kernel-bundle] workload: every row of \p rows accumulated into one
+// counter row with alternating +1/-1 weights (even count, so many counters
+// end at an exact-zero tie), then one threshold against \p tie.  Both
+// checksums are position-weighted sums, so a wrong lane, tie or tail bit
+// changes them.
+struct BundleChecksums {
+  std::uint64_t counters = 0;
+  std::uint64_t threshold = 0;
+  bool operator==(const BundleChecksums&) const = default;
+};
+
+BundleChecksums bundle_checksums(const hdc::bits::Kernels& kernels,
+                                 std::span<const std::uint64_t> rows,
+                                 std::span<const std::uint64_t> tie,
+                                 std::size_t dim) {
+  const std::size_t words = tie.size();
+  std::vector<std::int32_t> counters(dim, 0);
+  for (std::size_t r = 0; r * words < rows.size(); ++r) {
+    kernels.accumulate(counters.data(), rows.data() + r * words, dim,
+                       r % 2 == 0 ? 1 : -1);
+  }
+  std::vector<std::uint64_t> out(words);
+  kernels.threshold(counters.data(), tie.data(), out.data(), dim);
+  BundleChecksums sums;
+  for (std::size_t i = 0; i < dim; ++i) {
+    sums.counters += static_cast<std::uint64_t>(counters[i]) * (i + 1);
+  }
+  for (std::size_t w = 0; w < words; ++w) {
+    sums.threshold += out[w] * (w + 1);
+  }
+  return sums;
+}
+
 // CoreMark-style self-checking kernel microbench: every available kernel
 // variant runs the same fixed workload, its result checksum must equal the
 // scalar reference's (a variant that is fast but wrong must fail the gate,
-// not win it), and per-variant GB/s / rows/s go into the [kernel-hamming] /
-// [kernel-nearest] reports that bench/compare_baseline.py checks against
-// committed baselines.  Returns false when any variant mis-computes.
+// not win it), and per-variant GB/s / rows/s / adds/s go into the
+// [kernel-hamming] / [kernel-nearest] / [kernel-bundle] reports that
+// bench/compare_baseline.py checks against committed baselines.  Returns
+// false when any variant mis-computes.
 bool report_kernel_microbench() {
   constexpr std::size_t kDim = 10'240;
   constexpr std::size_t kWords = kDim / 64;  // 160
   constexpr std::size_t kHammingRows = 2'048;  // 2 x 3.2 MiB streams
   constexpr std::size_t kNearestQueries = 1'024;
+  constexpr std::size_t kBundleRows = 512;  // 1.3 MiB of rows at d = 10240
+  constexpr std::size_t kThresholds = 1'024;
   constexpr int kRepeats = 3;
   using clock = std::chrono::steady_clock;
 
@@ -941,19 +1018,35 @@ bool report_kernel_microbench() {
         arena.words_per_vector(), arena.size());
     expected_nearest_sum += match.index * 1'000'003ULL + match.distance;
   }
+  std::vector<std::uint64_t> bundle_rows(kBundleRows * kWords);
+  for (auto& w : bundle_rows) {
+    w = rng();
+  }
+  std::vector<std::uint64_t> tie(kWords);
+  for (auto& w : tie) {
+    w = rng();
+  }
+  const BundleChecksums expected_bundle =
+      bundle_checksums(scalar, bundle_rows, tie, kDim);
 
   const std::string previous = hdc::bits::active_kernels().name;
   bool all_ok = true;
   double best_gbps = 0.0;
   double best_rows_per_second = 0.0;
+  double best_adds_per_second = 0.0;
+  double best_thresholds_per_second = 0.0;
   const char* best_gbps_variant = "none";
   const char* best_rows_variant = "none";
+  const char* best_bundle_variant = "none";
 
   std::printf("\n[kernel-hamming] d=%zu words=%zu rows=%zu (xor+popcount "
               "stream, self-checked vs scalar)\n",
               kDim, kWords, kHammingRows);
   std::printf("[kernel-nearest] d=%zu classes=%zu queries=%zu\n", kDim,
               kQueryClasses, kNearestQueries);
+  std::printf("[kernel-bundle] d=%zu rows=%zu thresholds=%zu (accumulate + "
+              "threshold, self-checked vs scalar)\n",
+              kDim, kBundleRows, kThresholds);
   for (const hdc::bits::Kernels* variant : hdc::bits::available_kernels()) {
     hdc::bits::select_kernels(variant->name);
 
@@ -1011,7 +1104,55 @@ bool report_kernel_microbench() {
       best_rows_per_second = rows_per_second;
       best_rows_variant = variant->name;
     }
-    all_ok = all_ok && hamming_ok && nearest_ok;
+
+    // --- bundling: accumulate adds/s over the row stream and thresholds/s
+    // of the resulting counters, best of N; checksums from a separate pass.
+    const bool bundle_ok =
+        bundle_checksums(*variant, bundle_rows, tie, kDim) == expected_bundle;
+    std::vector<std::int32_t> counters(kDim, 0);
+    std::vector<std::uint64_t> out(kWords);
+    double add_seconds = 1e100;
+    double threshold_seconds = 1e100;
+    for (int repeat = 0; repeat < kRepeats; ++repeat) {
+      std::fill(counters.begin(), counters.end(), 0);
+      auto start = clock::now();
+      for (std::size_t r = 0; r < kBundleRows; ++r) {
+        hdc::bits::accumulate(
+            counters, std::span(bundle_rows).subspan(r * kWords, kWords),
+            r % 2 == 0 ? 1 : -1);
+      }
+      benchmark::DoNotOptimize(counters.data());
+      benchmark::ClobberMemory();
+      add_seconds = std::min(
+          add_seconds,
+          std::chrono::duration<double>(clock::now() - start).count());
+      start = clock::now();
+      for (std::size_t t = 0; t < kThresholds; ++t) {
+        hdc::bits::threshold(counters, tie, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+      }
+      threshold_seconds = std::min(
+          threshold_seconds,
+          std::chrono::duration<double>(clock::now() - start).count());
+    }
+    const double adds_per_second =
+        static_cast<double>(kBundleRows) / add_seconds;
+    const double thresholds_per_second =
+        static_cast<double>(kThresholds) / threshold_seconds;
+    std::printf("[kernel-bundle] variant=%-6s adds_per_second=%9.0f "
+                "thresholds_per_second=%9.0f self-check=%s\n",
+                variant->name, adds_per_second, thresholds_per_second,
+                bundle_ok ? "ok" : "FAIL");
+    if (bundle_ok && adds_per_second > best_adds_per_second) {
+      best_adds_per_second = adds_per_second;
+      best_bundle_variant = variant->name;
+    }
+    if (bundle_ok) {
+      best_thresholds_per_second =
+          std::max(best_thresholds_per_second, thresholds_per_second);
+    }
+    all_ok = all_ok && hamming_ok && nearest_ok && bundle_ok;
   }
   hdc::bits::select_kernels(previous);
 
@@ -1020,6 +1161,11 @@ bool report_kernel_microbench() {
   std::printf("[kernel-nearest] best variant: %s\n", best_rows_variant);
   std::printf("[kernel-nearest] best_rows_per_second: %.0f\n",
               best_rows_per_second);
+  std::printf("[kernel-bundle] best variant: %s\n", best_bundle_variant);
+  std::printf("[kernel-bundle] best_adds_per_second: %.0f\n",
+              best_adds_per_second);
+  std::printf("[kernel-bundle] best_thresholds_per_second: %.0f\n",
+              best_thresholds_per_second);
   std::printf("[kernel-selfcheck] pass: %d\n", all_ok ? 1 : 0);
   return all_ok;
 }
@@ -1060,6 +1206,7 @@ int main(int argc, char** argv) {
   report_snapshot_load();
   report_serve_throughput();
   report_text_throughput();
+  report_kv_serve_throughput();
   report_adapt_throughput();
 #if !defined(_WIN32)
   report_cluster_scaling();

@@ -2,7 +2,8 @@
 """CI bench-regression gate.
 
 Parses the ``[snapshot-load]``, ``[serve-throughput]``,
-``[adapt-throughput]``, ``[serve-latency]`` and ``[kernel-*]`` reports out
+``[text-throughput]``, ``[kv-serve-throughput]``, ``[adapt-throughput]``,
+``[cluster-scaling]``, ``[serve-latency]`` and ``[kernel-*]`` reports out
 of a ``bench_ops`` text log, compares each
 metric against the committed baselines in
 ``bench/baselines/BENCH_baseline.json``, writes a machine-readable
@@ -31,6 +32,11 @@ METRIC_PATTERNS = {
         re.compile(r"\[kernel-hamming\] best_gbps:\s*([0-9.]+)"),
     "kernel_nearest_best_rows_per_second":
         re.compile(r"\[kernel-nearest\] best_rows_per_second:\s*([0-9.]+)"),
+    "kernel_bundle_best_adds_per_second":
+        re.compile(r"\[kernel-bundle\] best_adds_per_second:\s*([0-9.]+)"),
+    "kernel_bundle_best_thresholds_per_second":
+        re.compile(
+            r"\[kernel-bundle\] best_thresholds_per_second:\s*([0-9.]+)"),
     "kernel_selfcheck_pass":
         re.compile(r"\[kernel-selfcheck\] pass:\s*([0-9.]+)"),
     "cluster_scaling_replicas1_rows_per_second":
@@ -41,6 +47,8 @@ METRIC_PATTERNS = {
         re.compile(r"\[cluster-scaling\] replicas4_rows_per_second:\s*([0-9.]+)"),
     "text_throughput_rows_per_second":
         re.compile(r"\[text-throughput\] rows_per_second:\s*([0-9.]+)"),
+    "kv_serve_throughput_rows_per_second":
+        re.compile(r"\[kv-serve-throughput\] rows_per_second:\s*([0-9.]+)"),
     "adapt_throughput_feedback_rows_per_second":
         re.compile(
             r"\[adapt-throughput\] feedback_rows_per_second:\s*([0-9.]+)"),

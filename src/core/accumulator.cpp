@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "hdc/base/require.hpp"
 
@@ -12,46 +13,24 @@ BundleAccumulator::BundleAccumulator(std::size_t dimension)
   require_positive(dimension, "BundleAccumulator", "dimension");
 }
 
-namespace {
-
-/// Applies `counter += sign * weight` per dimension, unpacking 64 bits at a
-/// time.  The inner loop is branch-free on the bit value.
-void apply(std::span<std::int32_t> counters,
-           std::span<const std::uint64_t> words, std::int32_t weight) {
-  const std::size_t d = counters.size();
-  for (std::size_t w = 0; w < words.size(); ++w) {
-    std::uint64_t bitsword = words[w];
-    const std::size_t base = w * bits::word_bits;
-    const std::size_t limit = std::min(bits::word_bits, d - base);
-    for (std::size_t b = 0; b < limit; ++b) {
-      // bit set -> +weight, clear -> -weight
-      const std::int32_t sign = static_cast<std::int32_t>(bitsword & 1U) * 2 - 1;
-      counters[base + b] += sign * weight;
-      bitsword >>= 1U;
-    }
-  }
-}
-
-}  // namespace
-
 void BundleAccumulator::add(HypervectorView hv) {
   require(hv.dimension() == dimension_, "BundleAccumulator::add",
           "dimension mismatch");
-  apply(counters_, hv.words(), 1);
+  bits::accumulate(counters_, hv.words(), 1);
   ++count_;
 }
 
 void BundleAccumulator::add_words(std::span<const std::uint64_t> words) {
   require(words.size() == bits::words_for(dimension_),
           "BundleAccumulator::add_words", "word-count mismatch");
-  apply(counters_, words, 1);
+  bits::accumulate(counters_, words, 1);
   ++count_;
 }
 
 void BundleAccumulator::subtract(HypervectorView hv) {
   require(hv.dimension() == dimension_, "BundleAccumulator::subtract",
           "dimension mismatch");
-  apply(counters_, hv.words(), -1);
+  bits::accumulate(counters_, hv.words(), -1);
   ++count_;
 }
 
@@ -61,7 +40,10 @@ void BundleAccumulator::add_weighted(HypervectorView hv,
           "dimension mismatch");
   require(weight != 0, "BundleAccumulator::add_weighted",
           "weight must be non-zero");
-  apply(counters_, hv.words(), weight);
+  // |INT32_MIN| and -INT32_MIN do not exist in int32.
+  require(weight != std::numeric_limits<std::int32_t>::min(),
+          "BundleAccumulator::add_weighted", "weight must not be INT32_MIN");
+  bits::accumulate(counters_, hv.words(), weight);
   count_ += static_cast<std::size_t>(std::abs(weight));
 }
 
@@ -83,13 +65,7 @@ Hypervector BundleAccumulator::finalize(HypervectorView tie_breaker) const {
   require(tie_breaker.dimension() == dimension_, "BundleAccumulator::finalize",
           "tie_breaker dimension mismatch");
   Hypervector out(dimension_);
-  for (std::size_t i = 0; i < dimension_; ++i) {
-    const std::int32_t c = counters_[i];
-    const bool bit = c > 0 || (c == 0 && tie_breaker.bit(i));
-    if (bit) {
-      bits::set_bit(out.words(), i, true);
-    }
-  }
+  bits::threshold(counters_, tie_breaker.words(), out.words());
   return out;
 }
 

@@ -6,7 +6,6 @@
 #include "hdc/core/bitops.hpp"
 
 #include <algorithm>
-#include <vector>
 
 namespace hdc::bits {
 
@@ -36,6 +35,26 @@ void shift_left(std::span<const std::uint64_t> in, std::span<std::uint64_t> out,
   }
 }
 
+namespace {
+
+/// Word \p w of `in >> shift`, before tail masking: shift_right and the
+/// wrap-around half of rotate_left both read it.
+std::uint64_t shifted_right_word(std::span<const std::uint64_t> in,
+                                 std::size_t w, std::size_t word_shift,
+                                 std::size_t bit_shift) noexcept {
+  const std::size_t n = in.size();
+  if (w + word_shift >= n) {
+    return 0;
+  }
+  std::uint64_t value = in[w + word_shift] >> bit_shift;
+  if (bit_shift != 0 && w + word_shift + 1 < n) {
+    value |= in[w + word_shift + 1] << (word_bits - bit_shift);
+  }
+  return value;
+}
+
+}  // namespace
+
 void shift_right(std::span<const std::uint64_t> in, std::span<std::uint64_t> out,
                  std::size_t bit_count, std::size_t shift) noexcept {
   const std::size_t n = out.size();
@@ -43,17 +62,8 @@ void shift_right(std::span<const std::uint64_t> in, std::span<std::uint64_t> out
     std::fill(out.begin(), out.end(), 0ULL);
     return;
   }
-  const std::size_t word_shift = shift / word_bits;
-  const std::size_t bit_shift = shift % word_bits;
   for (std::size_t w = 0; w < n; ++w) {
-    std::uint64_t value = 0;
-    if (w + word_shift < n) {
-      value = in[w + word_shift] >> bit_shift;
-      if (bit_shift != 0 && w + word_shift + 1 < n) {
-        value |= in[w + word_shift + 1] << (word_bits - bit_shift);
-      }
-    }
-    out[w] = value;
+    out[w] = shifted_right_word(in, w, shift / word_bits, shift % word_bits);
   }
   if (n > 0) {
     out[n - 1] &= tail_mask(bit_count);
@@ -70,13 +80,14 @@ void rotate_left(std::span<const std::uint64_t> in, std::span<std::uint64_t> out
     std::copy(in.begin(), in.end(), out.begin());
     return;
   }
-  // rot(x, s) = (x << s) | (x >> (d - s)) over d-bit vectors.
+  // rot(x, s) = (x << s) | (x >> (d - s)) over d-bit vectors; the right
+  // shift is ORed in word by word, so no scratch row is needed.
   shift_left(in, out, bit_count, s);
-  std::vector<std::uint64_t> wrapped(in.size());
-  shift_right(in, wrapped, bit_count, bit_count - s);
+  const std::size_t wrap = bit_count - s;
   for (std::size_t w = 0; w < out.size(); ++w) {
-    out[w] |= wrapped[w];
+    out[w] |= shifted_right_word(in, w, wrap / word_bits, wrap % word_bits);
   }
+  out[out.size() - 1] &= tail_mask(bit_count);
 }
 
 }  // namespace hdc::bits

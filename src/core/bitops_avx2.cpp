@@ -127,6 +127,73 @@ void avx2_xor_rows(std::uint64_t* dst, const std::uint64_t* a,
   }
 }
 
+/// Lane j of group g selects bit 8 * g + j of a broadcast 32-bit
+/// half-word: the AVX2 stand-in for an AVX-512 mask register.
+__m256i group_selector(int group) noexcept {
+  const __m256i one_hot = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+  return _mm256_sllv_epi32(one_hot, _mm256_set1_epi32(8 * group));
+}
+
+/// All-ones in each lane whose selected bit of \p half is set.
+__m256i bit_lanes(__m256i half, __m256i selector) noexcept {
+  return _mm256_cmpeq_epi32(_mm256_and_si256(half, selector), selector);
+}
+
+void avx2_accumulate(std::int32_t* counters, const std::uint64_t* words,
+                     std::size_t dim, std::int32_t weight) noexcept {
+  const __m256i selectors[4] = {group_selector(0), group_selector(1),
+                                group_selector(2), group_selector(3)};
+  const __m256i plus = _mm256_set1_epi32(weight);
+  const __m256i minus = _mm256_sub_epi32(_mm256_setzero_si256(), plus);
+  const std::size_t full = dim / 64;
+  for (std::size_t w = 0; w < full; ++w) {
+    for (int h = 0; h < 2; ++h) {
+      const auto bits32 = static_cast<int>(words[w] >> (32 * h));
+      const __m256i half = _mm256_set1_epi32(bits32);
+      std::int32_t* row = counters + w * 64 + 32 * h;
+      for (int g = 0; g < 4; ++g) {
+        const __m256i set = bit_lanes(half, selectors[g]);
+        const __m256i delta = _mm256_blendv_epi8(minus, plus, set);
+        auto* lane = reinterpret_cast<__m256i*>(row + 8 * g);
+        const __m256i sum = _mm256_add_epi32(_mm256_loadu_si256(lane), delta);
+        _mm256_storeu_si256(lane, sum);
+      }
+    }
+  }
+  portable_accumulate(counters + 64 * full, words + full, dim - 64 * full,
+                      weight);
+}
+
+void avx2_threshold(const std::int32_t* counters,
+                    const std::uint64_t* tie_words, std::uint64_t* out,
+                    std::size_t dim) noexcept {
+  const __m256i selectors[4] = {group_selector(0), group_selector(1),
+                                group_selector(2), group_selector(3)};
+  const __m256i zero = _mm256_setzero_si256();
+  const std::size_t full = dim / 64;
+  for (std::size_t w = 0; w < full; ++w) {
+    std::uint64_t word = 0;
+    for (int h = 0; h < 2; ++h) {
+      const auto bits32 = static_cast<int>(tie_words[w] >> (32 * h));
+      const __m256i tie = _mm256_set1_epi32(bits32);
+      const std::int32_t* row = counters + w * 64 + 32 * h;
+      for (int g = 0; g < 4; ++g) {
+        const auto* lane = reinterpret_cast<const __m256i*>(row + 8 * g);
+        const __m256i c = _mm256_loadu_si256(lane);
+        const __m256i ties = bit_lanes(tie, selectors[g]);
+        const __m256i is_zero = _mm256_cmpeq_epi32(c, zero);
+        const __m256i tied = _mm256_and_si256(is_zero, ties);
+        const __m256i set = _mm256_or_si256(_mm256_cmpgt_epi32(c, zero), tied);
+        const int mask = _mm256_movemask_ps(_mm256_castsi256_ps(set));
+        word |= static_cast<std::uint64_t>(mask) << (32 * h + 8 * g);
+      }
+    }
+    out[w] = word;
+  }
+  portable_threshold(counters + 64 * full, tie_words + full, out + full,
+                     dim - 64 * full);
+}
+
 constexpr Kernels kAvx2Kernels = {
     .name = "avx2",
     .supported = cpu_has_avx2,
@@ -136,6 +203,8 @@ constexpr Kernels kAvx2Kernels = {
     .count_ones = avx2_count_ones,
     .xor_into = avx2_xor_into,
     .xor_rows = avx2_xor_rows,
+    .accumulate = avx2_accumulate,
+    .threshold = avx2_threshold,
 };
 
 }  // namespace

@@ -103,6 +103,54 @@ void avx512_xor_rows(std::uint64_t* dst, const std::uint64_t* a,
   }
 }
 
+// Each 16-bit slice of a word is the lane mask of 16 counters: one blend
+// picks +weight or -weight per lane and one add applies it, so a full word
+// is four blend+add pairs.  Only AVX-512F instructions, which the dispatch
+// predicate guarantees.
+void avx512_accumulate(std::int32_t* counters, const std::uint64_t* words,
+                       std::size_t dim, std::int32_t weight) noexcept {
+  const __m512i plus = _mm512_set1_epi32(weight);
+  const __m512i minus = _mm512_sub_epi32(_mm512_setzero_si512(), plus);
+  const std::size_t full = dim / 64;
+  for (std::size_t w = 0; w < full; ++w) {
+    const std::uint64_t word = words[w];
+    std::int32_t* row = counters + w * 64;
+    for (std::size_t slice = 0; slice < 4; ++slice) {
+      const auto set = static_cast<__mmask16>(word >> (16 * slice));
+      const __m512i delta = _mm512_mask_blend_epi32(set, minus, plus);
+      std::int32_t* lane = row + 16 * slice;
+      const __m512i sum = _mm512_add_epi32(_mm512_loadu_si512(lane), delta);
+      _mm512_storeu_si512(lane, sum);
+    }
+  }
+  portable_accumulate(counters + 64 * full, words + full, dim - 64 * full,
+                      weight);
+}
+
+// 16 output bits per compare: counter > 0, or counter == 0 where the tie
+// slice has the bit (the masked compare applies the tie bits as its mask).
+void avx512_threshold(const std::int32_t* counters,
+                      const std::uint64_t* tie_words, std::uint64_t* out,
+                      std::size_t dim) noexcept {
+  const __m512i zero = _mm512_setzero_si512();
+  const std::size_t full = dim / 64;
+  for (std::size_t w = 0; w < full; ++w) {
+    const std::uint64_t tie = tie_words[w];
+    const std::int32_t* row = counters + w * 64;
+    std::uint64_t word = 0;
+    for (std::size_t slice = 0; slice < 4; ++slice) {
+      const __m512i c = _mm512_loadu_si512(row + 16 * slice);
+      const auto tie_slice = static_cast<__mmask16>(tie >> (16 * slice));
+      const __mmask16 positive = _mm512_cmpgt_epi32_mask(c, zero);
+      const __mmask16 tied = _mm512_mask_cmpeq_epi32_mask(tie_slice, c, zero);
+      word |= static_cast<std::uint64_t>(positive | tied) << (16 * slice);
+    }
+    out[w] = word;
+  }
+  portable_threshold(counters + 64 * full, tie_words + full, out + full,
+                     dim - 64 * full);
+}
+
 constexpr Kernels kAvx512Kernels = {
     .name = "avx512",
     .supported = cpu_has_avx512,
@@ -112,6 +160,8 @@ constexpr Kernels kAvx512Kernels = {
     .count_ones = avx512_count_ones,
     .xor_into = avx512_xor_into,
     .xor_rows = avx512_xor_rows,
+    .accumulate = avx512_accumulate,
+    .threshold = avx512_threshold,
 };
 
 }  // namespace

@@ -103,6 +103,9 @@ constexpr Kernels kNeonKernels = {
     .count_ones = neon_count_ones,
     .xor_into = neon_xor_into,
     .xor_rows = neon_xor_rows,
+    // Portable loops until a toolchain can test vector NEON bundling.
+    .accumulate = portable_accumulate,
+    .threshold = portable_threshold,
 };
 
 }  // namespace

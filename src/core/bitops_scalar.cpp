@@ -1,4 +1,5 @@
-// Scalar kernel variant: portable 4-way-unrolled XOR+popcount.
+// Scalar kernel variant: portable 4-way-unrolled XOR+popcount, plus the
+// portable bundling loops shared through kernel_detail.hpp.
 //
 // This TU is the always-correct fallback and the bit-exactness reference
 // every SIMD variant is property-tested against
@@ -89,6 +90,8 @@ constexpr Kernels kScalarKernels = {
     .count_ones = scalar_count_ones,
     .xor_into = scalar_xor_into,
     .xor_rows = scalar_xor_rows,
+    .accumulate = portable_accumulate,
+    .threshold = portable_threshold,
 };
 
 }  // namespace

@@ -10,7 +10,9 @@
 /// bit) and thresholds at zero on `finalize()`, which is exactly the
 /// element-wise majority of everything added.  It also supports weighted and
 /// negative updates (used by the adaptive-classifier extension) and signed
-/// projections (used by the non-quantized regression variant).
+/// projections (used by the non-quantized regression variant).  Updates and
+/// the threshold run on the dispatched `bits::accumulate` /
+/// `bits::threshold` kernels (docs/kernels.md).
 
 #include <cstdint>
 #include <span>
@@ -50,7 +52,8 @@ class BundleAccumulator {
   void subtract(HypervectorView hv);
 
   /// Adds with an integer weight (negative weights subtract).
-  /// \throws std::invalid_argument on dimension mismatch or weight == 0.
+  /// \throws std::invalid_argument on dimension mismatch, weight == 0 or
+  /// weight == INT32_MIN (whose magnitude int32 cannot hold).
   void add_weighted(HypervectorView hv, std::int32_t weight);
 
   /// Merges another accumulator: counters and counts add element-wise.

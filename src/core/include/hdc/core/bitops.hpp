@@ -10,12 +10,12 @@
 /// the invariant that those tail bits are zero, so popcount-based distances
 /// and equality work on whole words.
 ///
-/// The fused XOR+popcount kernels (hamming / nearest_hamming / hamming_many
-/// / count_ones / xor_into / xor_rows) are *dispatched*: each span function
-/// below is a thin shim over the process-wide `Kernels` table selected at
-/// startup from the compiled-in scalar / AVX2 / AVX-512 / NEON variants
-/// (hdc/core/kernels.hpp, docs/kernels.md).  Every variant is bit-exact
-/// with the scalar reference; selection only changes speed.
+/// The word kernels (hamming / nearest_hamming / hamming_many / count_ones
+/// / xor_into / xor_rows / accumulate / threshold) are *dispatched*: each
+/// span function below is a thin shim over the process-wide `Kernels` table
+/// selected at startup from the compiled-in scalar / AVX2 / AVX-512 / NEON
+/// variants (hdc/core/kernels.hpp, docs/kernels.md).  Every variant is
+/// bit-exact with the scalar reference; selection only changes speed.
 
 #include <cstddef>
 #include <cstdint>
@@ -96,6 +96,28 @@ inline void xor_rows(std::span<std::uint64_t> dst,
   active_kernels().xor_rows(dst.data(), a.data(), b.data(), dst.size());
 }
 
+/// Bundling update of one counter per bit: counters[i] += bit i of words ?
+/// +weight : -weight, over i < counters.size() (the dimension).
+/// \pre words.size() == words_for(counters.size()), weight != 0 and
+/// weight != INT32_MIN.
+inline void accumulate(std::span<std::int32_t> counters,
+                       std::span<const std::uint64_t> words,
+                       std::int32_t weight) noexcept {
+  active_kernels().accumulate(counters.data(), words.data(), counters.size(),
+                              weight);
+}
+
+/// Majority threshold of counters.size() counters into \p out: a bit is
+/// set when its counter is positive, takes the tie bit when the counter is
+/// zero, and tail bits are written as zero.
+/// \pre tie_words.size() == out.size() == words_for(counters.size()).
+inline void threshold(std::span<const std::int32_t> counters,
+                      std::span<const std::uint64_t> tie_words,
+                      std::span<std::uint64_t> out) noexcept {
+  active_kernels().threshold(counters.data(), tie_words.data(), out.data(),
+                             counters.size());
+}
+
 /// Reads bit \p index. \pre index < 64 * words.size().
 [[nodiscard]] inline bool get_bit(std::span<const std::uint64_t> words,
                                   std::size_t index) noexcept {
@@ -133,7 +155,8 @@ void shift_right(std::span<const std::uint64_t> in, std::span<std::uint64_t> out
 
 /// Cyclic left rotation of a \p bit_count-bit vector by \p shift bits
 /// (bit i of out = bit (i - shift) mod bit_count of in).  \p shift is reduced
-/// modulo bit_count.  \pre same as shift_left.
+/// modulo bit_count.  Allocation-free, so encoders can rotate into a
+/// reused scratch row.  \pre same as shift_left.
 void rotate_left(std::span<const std::uint64_t> in, std::span<std::uint64_t> out,
                  std::size_t bit_count, std::size_t shift) noexcept;
 

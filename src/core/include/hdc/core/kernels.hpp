@@ -5,10 +5,12 @@
 /// \brief Runtime-dispatched SIMD kernel variants for the bit primitives.
 ///
 /// Every hot path in the library — `Basis::nearest`,
-/// `CentroidClassifier::predict`, the `hdc::runtime` batch engines and the
-/// whole `hdc::serve` stack — bottoms out in a handful of fused XOR+popcount
-/// word kernels.  This header turns that kernel surface into a *selectable*
-/// API: a `Kernels` table of function pointers with one entry per primitive,
+/// `CentroidClassifier::predict`, the `hdc::runtime` batch engines, the
+/// whole `hdc::serve` stack and every `BundleAccumulator` bundle — bottoms
+/// out in a handful of word kernels: fused XOR+popcount sweeps plus the
+/// bundling accumulate/threshold pair.  This header turns that kernel
+/// surface into a *selectable* API: a `Kernels` table of function pointers
+/// with one entry per primitive,
 /// per-ISA implementations (scalar / AVX2 / AVX-512 VPOPCNTDQ / NEON)
 /// compiled into their own translation units with per-file ISA flags, and a
 /// process-wide active table chosen once at first use by a CPU-feature
@@ -89,6 +91,20 @@ struct Kernels {
   /// dst[i] = a[i] ^ b[i] for i in [0, n); dst may alias a or b.
   void (*xor_rows)(std::uint64_t* dst, const std::uint64_t* a,
                    const std::uint64_t* b, std::size_t n) noexcept;
+
+  /// Bundling update: counters[i] += bit i of words ? +weight : -weight for
+  /// i in [0, dim), wrapping modulo 2^32.  words holds words_for(dim) words;
+  /// counters[dim..] is never touched.
+  /// \pre weight != 0 and weight != INT32_MIN.
+  void (*accumulate)(std::int32_t* counters, const std::uint64_t* words,
+                     std::size_t dim, std::int32_t weight) noexcept;
+
+  /// Majority threshold: bit i of out = counters[i] > 0, or tie bit i when
+  /// counters[i] == 0, for i in [0, dim); the bits of the last word past
+  /// dim are written as zero.  tie_words and out hold words_for(dim) words.
+  void (*threshold)(const std::int32_t* counters,
+                    const std::uint64_t* tie_words, std::uint64_t* out,
+                    std::size_t dim) noexcept;
 };
 
 /// The process-wide active variant.  First call resolves the selection

@@ -64,6 +64,54 @@ inline void hamming_rows(HammingFn hamming_fn, const std::uint64_t* query,
   }
 }
 
+// The bundling helpers below have internal linkage on purpose: every
+// variant TU gets its own copy, compiled under its own ISA flags.  An inline
+// function with external linkage may be merged by the linker with the copy
+// a wider-ISA TU emitted, and the scalar variant would then run it.
+namespace {
+
+/// Portable bundling loops over a dim-bit row, partial last word included:
+/// the scalar and NEON table entries, and the tail every SIMD variant hands
+/// over after its full 64-bit words.  Both are branch-free on the bit and
+/// counter values.
+inline void portable_accumulate(std::int32_t* counters,
+                                const std::uint64_t* words, std::size_t dim,
+                                std::int32_t weight) noexcept {
+  // delta = -weight, plus 2 * weight where the bit is set.  The uint32 view
+  // of the counters (a signed/unsigned pair may alias) wraps like the
+  // vector adds instead of overflowing a signed int.
+  const std::uint32_t minus = 0U - static_cast<std::uint32_t>(weight);
+  const std::uint32_t twice = 2U * static_cast<std::uint32_t>(weight);
+  for (std::size_t base = 0; base < dim; base += 64) {
+    std::uint64_t word = words[base / 64];
+    auto* row = reinterpret_cast<std::uint32_t*>(counters + base);
+    const std::size_t limit = dim - base < 64 ? dim - base : 64;
+    for (std::size_t b = 0; b < limit; ++b) {
+      row[b] += minus + static_cast<std::uint32_t>(word & 1U) * twice;
+      word >>= 1U;
+    }
+  }
+}
+
+inline void portable_threshold(const std::int32_t* counters,
+                               const std::uint64_t* tie_words,
+                               std::uint64_t* out, std::size_t dim) noexcept {
+  for (std::size_t base = 0; base < dim; base += 64) {
+    const std::uint64_t tie = tie_words[base / 64];
+    const std::int32_t* row = counters + base;
+    const std::size_t limit = dim - base < 64 ? dim - base : 64;
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < limit; ++b) {
+      const auto positive = static_cast<std::uint64_t>(row[b] > 0);
+      const auto zero = static_cast<std::uint64_t>(row[b] == 0);
+      word |= (positive | (zero & (tie >> b))) << b;
+    }
+    out[base / 64] = word;
+  }
+}
+
+}  // namespace
+
 }  // namespace hdc::bits::detail
 
 #endif  // HDC_CORE_KERNEL_DETAIL_HPP

@@ -1,7 +1,9 @@
 #include "hdc/core/sequence_encoder.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "hdc/base/require.hpp"
 #include "hdc/core/accumulator.hpp"
@@ -32,6 +34,33 @@ const Hypervector& find_byte(const ItemMemory& items, std::string_view symbol,
                            "before const encoding");
   }
   return *found;
+}
+
+/// The bound-n-gram bundle shared by both NGramEncoder::encode overloads;
+/// \p symbol maps a one-byte string_view to its item vector.  Each window
+/// is built in one reused scratch row: the first symbol copied, then every
+/// later symbol rotated by its offset and XORed in.
+template <typename SymbolFn>
+Hypervector bundle_ngrams(std::string_view text, std::size_t n,
+                          HypervectorView tie_breaker, const SymbolFn& symbol) {
+  require(!text.empty(), "NGramEncoder::encode", "text must be non-empty");
+  const std::size_t dimension = tie_breaker.dimension();
+  BundleAccumulator acc(dimension);
+  std::vector<std::uint64_t> gram(bits::words_for(dimension));
+  std::vector<std::uint64_t> rotated(gram.size());
+  const std::size_t window = std::min(n, text.size());
+  const std::size_t last_start = text.size() - window;
+  for (std::size_t start = 0; start <= last_start; ++start) {
+    const auto first = symbol(text.substr(start, 1)).words();
+    std::copy(first.begin(), first.end(), gram.begin());
+    for (std::size_t k = 1; k < window; ++k) {
+      const auto next = symbol(text.substr(start + k, 1)).words();
+      bits::rotate_left(next, rotated, dimension, k);
+      bits::xor_into(gram, rotated);
+    }
+    acc.add_words(gram);
+  }
+  return acc.finalize(tie_breaker);
 }
 
 }  // namespace
@@ -82,40 +111,19 @@ NGramEncoder::NGramEncoder(std::size_t dimension, std::size_t n,
 }
 
 Hypervector NGramEncoder::encode(std::string_view text) {
-  require(!text.empty(), "NGramEncoder::encode", "text must be non-empty");
-  BundleAccumulator acc(dimension());
-  const std::size_t window = std::min(n_, text.size());
-  const std::size_t last_start = text.size() - window;
-  for (std::size_t start = 0; start <= last_start; ++start) {
-    Hypervector gram = permute(items_.get(std::string_view(&text[start], 1)), 0);
-    for (std::size_t k = 1; k < window; ++k) {
-      gram ^= permute(items_.get(std::string_view(&text[start + k], 1)), k);
-    }
-    acc.add(gram);
-  }
-  return acc.finalize(tie_breaker_);
+  const auto symbol = [this](std::string_view byte) -> const Hypervector& {
+    return items_.get(byte);
+  };
+  return bundle_ngrams(text, n_, tie_breaker_, symbol);
 }
 
 void NGramEncoder::warm_bytes() { warm_all_bytes(items_); }
 
 Hypervector NGramEncoder::encode(std::string_view text) const {
-  require(!text.empty(), "NGramEncoder::encode", "text must be non-empty");
-  BundleAccumulator acc(dimension());
-  const std::size_t window = std::min(n_, text.size());
-  const std::size_t last_start = text.size() - window;
-  for (std::size_t start = 0; start <= last_start; ++start) {
-    Hypervector gram =
-        permute(find_byte(items_, std::string_view(&text[start], 1),
-                          "NGramEncoder::encode"),
-                0);
-    for (std::size_t k = 1; k < window; ++k) {
-      gram ^= permute(find_byte(items_, std::string_view(&text[start + k], 1),
-                                "NGramEncoder::encode"),
-                      k);
-    }
-    acc.add(gram);
-  }
-  return acc.finalize(tie_breaker_);
+  const auto symbol = [this](std::string_view byte) -> const Hypervector& {
+    return find_byte(items_, byte, "NGramEncoder::encode");
+  };
+  return bundle_ngrams(text, n_, tie_breaker_, symbol);
 }
 
 }  // namespace hdc

@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "hdc/core/kernels.hpp"
 #include "hdc/core/ops.hpp"
 
 namespace {
@@ -42,6 +48,77 @@ TEST(AccumulatorTest, WeightedAddScalesCounters) {
   EXPECT_EQ(acc.count(), 7U);
   EXPECT_THROW(acc.add_weighted(Hypervector::from_bits(bits), 0),
                std::invalid_argument);
+}
+
+TEST(AccumulatorTest, WeightedAddRejectsInt32MinAndKeepsState) {
+  const bool bits[] = {true, false};
+  BundleAccumulator acc(2);
+  acc.add_weighted(Hypervector::from_bits(bits), 3);
+  EXPECT_THROW(acc.add_weighted(Hypervector::from_bits(bits),
+                                std::numeric_limits<std::int32_t>::min()),
+               std::invalid_argument);
+  EXPECT_EQ(acc.counters()[0], 3);
+  EXPECT_EQ(acc.counters()[1], -3);
+  EXPECT_EQ(acc.count(), 3U);
+  // The most negative weight with a magnitude is still accepted.
+  acc.add_weighted(Hypervector::from_bits(bits),
+                   std::numeric_limits<std::int32_t>::min() + 1);
+  EXPECT_EQ(acc.count(), 3U + 2'147'483'647U);
+}
+
+// The per-bit update and threshold loops the accumulator used before its
+// word kernels, kept as the oracle: every kernel variant must reproduce
+// them exactly through the public add/subtract/add_weighted/finalize API.
+void oracle_apply(std::vector<std::int64_t>& counters, const Hypervector& hv,
+                  std::int64_t weight) {
+  for (std::size_t i = 0; i < counters.size(); ++i) {
+    counters[i] += (hv.bit(i) ? 1 : -1) * weight;
+  }
+}
+
+Hypervector oracle_finalize(const std::vector<std::int64_t>& counters,
+                            const Hypervector& tie) {
+  Hypervector out(counters.size());
+  for (std::size_t i = 0; i < counters.size(); ++i) {
+    const std::int64_t c = counters[i];
+    out.set_bit(i, c > 0 || (c == 0 && tie.bit(i)));
+  }
+  return out;
+}
+
+TEST(AccumulatorTest, EveryKernelVariantMatchesPerBitOracle) {
+  const std::string previous = hdc::bits::active_kernels().name;
+  for (const hdc::bits::Kernels* variant : hdc::bits::available_kernels()) {
+    hdc::bits::select_kernels(variant->name);
+    for (const std::size_t dim : {1, 63, 64, 65, 127, 10'000, 10'240}) {
+      Rng rng(dim * 29 + 8);
+      BundleAccumulator acc(dim);
+      std::vector<std::int64_t> expected(dim, 0);
+      // An even number of unit adds leaves many exact-zero ties.
+      for (int i = 0; i < 4; ++i) {
+        const auto hv = Hypervector::random(dim, rng);
+        acc.add(hv);
+        oracle_apply(expected, hv, 1);
+      }
+      const auto tie = Hypervector::random(dim, rng);
+      EXPECT_EQ(acc.finalize(tie), oracle_finalize(expected, tie))
+          << variant->name << " d=" << dim;
+      const auto removed = Hypervector::random(dim, rng);
+      acc.subtract(removed);
+      oracle_apply(expected, removed, -1);
+      for (const std::int32_t weight : {7, -300}) {
+        const auto hv = Hypervector::random(dim, rng);
+        acc.add_weighted(hv, weight);
+        oracle_apply(expected, hv, weight);
+      }
+      const std::vector<std::int64_t> actual(acc.counters().begin(),
+                                             acc.counters().end());
+      EXPECT_EQ(actual, expected) << variant->name << " d=" << dim;
+      EXPECT_EQ(acc.finalize(tie), oracle_finalize(expected, tie))
+          << variant->name << " d=" << dim;
+    }
+  }
+  hdc::bits::select_kernels(previous);
 }
 
 TEST(AccumulatorTest, TieBreaksFollowTieVector) {

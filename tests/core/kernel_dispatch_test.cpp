@@ -2,9 +2,11 @@
 // variant (scalar / AVX2 / AVX-512 / NEON) must be bit-exact with the
 // scalar reference on the full primitive matrix — hamming, nearest_hamming
 // (including its lowest-index tie-break), hamming_many, count_ones,
-// xor_into and xor_rows — across dimensions that exercise every word-count
-// shape: single partial word, exact word boundaries, one-past boundaries,
-// and the paper-scale d = 10000 / 10240.  Variants are forced through
+// xor_into, xor_rows, and the bundling pair accumulate / threshold (zero
+// ties, tail bits, counters past the dimension) — across dimensions that
+// exercise every word-count shape: single partial word, exact word
+// boundaries, one-past boundaries, and the paper-scale d = 10000 / 10240.
+// Variants are forced through
 // select_kernels(), the same switch HDC_KERNELS reaches at init, so this
 // suite is also the regression net for the dispatcher itself.
 
@@ -14,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -249,6 +252,57 @@ TEST_P(KernelVariantTest, NearestBreaksTiesTowardLowestIndex) {
     }
     EXPECT_EQ(bits::nearest_hamming(query, same, words, 5).index, 0U)
         << "variant " << GetParam() << " d=" << dim;
+  }
+}
+
+TEST_P(KernelVariantTest, AccumulateMatchesScalarAndSparesCanary) {
+  const bits::Kernels& reference = bits::scalar_kernels();
+  constexpr std::int32_t kCanary = 0x5A5A5A5A;
+  for (const std::size_t dim : kDims) {
+    Rng rng(dim * 19 + 6);
+    // One slot past the dimension holds a canary no variant may write.
+    std::vector<std::int32_t> counters(dim + 1, 0);
+    std::vector<std::int32_t> expected(dim + 1, 0);
+    counters[dim] = kCanary;
+    expected[dim] = kCanary;
+    for (const std::int32_t weight : {1, -1, 7, -300}) {
+      const auto words = random_words(dim, rng);
+      bits::accumulate(std::span(counters).first(dim), words, weight);
+      reference.accumulate(expected.data(), words.data(), dim, weight);
+    }
+    EXPECT_EQ(counters, expected) << "variant " << GetParam() << " d=" << dim;
+    EXPECT_EQ(counters[dim], kCanary)
+        << "variant " << GetParam() << " d=" << dim;
+  }
+}
+
+TEST_P(KernelVariantTest, ThresholdMatchesScalarTakesTiesAndMasksTail) {
+  const bits::Kernels& reference = bits::scalar_kernels();
+  for (const std::size_t dim : kDims) {
+    Rng rng(dim * 23 + 7);
+    // Counters in {-2..2} make about a fifth of them exact zero ties.
+    std::vector<std::int32_t> counters(dim);
+    for (auto& c : counters) {
+      c = static_cast<std::int32_t>(rng() % 5) - 2;
+    }
+    const auto tie = random_words(dim, rng);
+    std::vector<std::uint64_t> out(tie.size(), ~0ULL);
+    std::vector<std::uint64_t> expected(tie.size(), 0);
+    bits::threshold(counters, tie, out);
+    reference.threshold(counters.data(), tie.data(), expected.data(), dim);
+    EXPECT_EQ(out, expected) << "variant " << GetParam() << " d=" << dim;
+    EXPECT_EQ(out.back() & ~bits::tail_mask(dim), 0U)
+        << "variant " << GetParam() << " d=" << dim;
+
+    // All-zero counters are all ties: the output is the tie row itself,
+    // and an all-ones tie row still leaves the tail clear.
+    const std::vector<std::int32_t> zeros(dim, 0);
+    bits::threshold(zeros, tie, out);
+    EXPECT_EQ(out, tie) << "variant " << GetParam() << " d=" << dim;
+    std::vector<std::uint64_t> ones(tie.size(), ~0ULL);
+    ones.back() &= bits::tail_mask(dim);
+    bits::threshold(zeros, ones, out);
+    EXPECT_EQ(out, ones) << "variant " << GetParam() << " d=" << dim;
   }
 }
 
