@@ -50,7 +50,7 @@ int main() {
       "4,359,23\n"    // New Year's Eve, last year — day wraps 366 -> 0
       "4,2,0.25\n");  // ...and just after the wrap
   std::ostringstream out;
-  hdc::serve::RowReader reader(in, server.pipeline().num_features());
+  hdc::serve::RowReader reader(in, server.plane().num_features());
   hdc::serve::PredictionWriter writer(out, hdc::serve::OutputFormat::Csv);
   const auto stats = server.run(reader, writer);
 

@@ -26,16 +26,19 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
+
+#include "hdc/serve/prediction_plane.hpp"
 
 namespace hdc::cluster {
 
 /// Raised by the coordinator on worker/transport failure; the message names
-/// the failing rank (and pid + exit cause for fork workers).
-class ClusterError : public std::runtime_error {
+/// the failing rank (and pid + exit cause for fork workers).  A plane
+/// failure to the serving front ends: the stdin loop rethrows it with the
+/// input position appended.
+class ClusterError : public serve::PlaneError {
  public:
-  using std::runtime_error::runtime_error;
+  using serve::PlaneError::PlaneError;
 };
 
 /// First item of rank \p rank's slice of \p count items over \p size ranks

@@ -28,11 +28,10 @@
 /// the replacement first (load + `ensure_swappable`), so a bad snapshot is
 /// rejected before any rank has flipped.
 ///
-/// Worker failure surfaces as `ClusterError` from the faulting call;
-/// `serve_stream()` additionally drains what the batch admitted before the
-/// fault (flushes every already-written prediction) and rethrows with the
-/// input line number, so a stream consumer can tell exactly which rows were
-/// answered.
+/// Worker failure surfaces as `ClusterError` from the faulting call.  As a
+/// `serve::PredictionPlane`, the coordinator runs under the same `Server`
+/// and `NetServer` loops as one process; the stdin loop rethrows a
+/// `ClusterError` with the input line, every earlier batch already flushed.
 
 #include <cstddef>
 #include <cstdint>
@@ -49,8 +48,7 @@
 #include "hdc/io/pipeline.hpp"
 #include "hdc/io/snapshot.hpp"
 #include "hdc/serve/adaptive_state.hpp"
-#include "hdc/serve/prediction_writer.hpp"
-#include "hdc/serve/row_reader.hpp"
+#include "hdc/serve/prediction_plane.hpp"
 
 namespace hdc::cluster {
 
@@ -71,7 +69,7 @@ struct RankStats {
 };
 
 /// Coordinator over N worker ranks; thread-safe (exchanges serialize).
-class ShardedServer {
+class ShardedServer final : public serve::PredictionPlane {
  public:
   /// Builds the comm (forking before any thread pool exists — construct
   /// this before `NetServer` or other pool owners) and barriers once so a
@@ -79,9 +77,7 @@ class ShardedServer {
   /// \throws ClusterError / io::SnapshotError / std::invalid_argument.
   ShardedServer(std::string snapshot_path, ClusterOptions options);
 
-  [[nodiscard]] io::PipelineKind kind() const noexcept;
-  [[nodiscard]] std::size_t num_features() const noexcept;
-  [[nodiscard]] std::size_t dimension() const noexcept;
+  [[nodiscard]] std::size_t dimension() const noexcept override;
   [[nodiscard]] std::size_t replicas() const noexcept { return comm_->size(); }
   [[nodiscard]] ShardScheme scheme() const noexcept { return options_.scheme; }
   [[nodiscard]] const char* backend() const noexcept {
@@ -127,13 +123,19 @@ class ShardedServer {
   [[nodiscard]] HeadBatchResult predict_text_head(
       std::span<const std::string> rows);
 
+  /// The plane entry the serving front ends call: one of the four batch
+  /// calls above, per the input mode and \p head.  \p adapted is ignored,
+  /// since ranks serve feedback as soon as it lands.
+  void predict(const serve::RowBatch& batch, serve::HeadMode head,
+               bool adapted, serve::Predictions& out) override;
+
   /// Hot-swaps every rank to \p path ("" reloads the active source; an
   /// HDCS delta file patches the tracked base).  Validates on rank 0
   /// first; on rejection no rank has changed.  Returns the new cluster
   /// generation.
   /// \throws io::SnapshotError on rejection; ClusterError if a rank failed
   /// after validation (the cluster is then inconsistent and unusable).
-  std::uint64_t reload(const std::string& path);
+  std::uint64_t reload(const std::string& path) override;
 
   /// One `!adapt` feedback sample, broadcast to every rank: each applies
   /// it to its deterministic rank-local overlay and serves the adapted
@@ -148,55 +150,49 @@ class ShardedServer {
   /// pipeline takes numeric rows.
   serve::AdaptOutcome adapt_text(double target, std::string_view text);
 
+  /// The plane's `!adapt`: adapt() or adapt_text() of the one row in
+  /// \p sample, per the input mode.
+  serve::AdaptOutcome adapt(double target,
+                            const serve::RowBatch& sample) override;
+
   /// Writes the cluster's adapted-vs-base difference (gathered as
   /// per-rank changed-row sets, verified byte-identical) as an HDCS delta
   /// file at \p out_path; returns the changed-row count.
   /// \throws ClusterError on divergence; std::runtime_error when nothing
   /// differs from the base; io::SnapshotError on write failure.
-  std::uint64_t export_delta(const std::string& out_path);
+  std::uint64_t export_delta(const std::string& out_path) override;
 
   /// The last *full* snapshot the cluster loaded (delta reloads keep it).
   [[nodiscard]] std::string base_path() const;
 
   /// Last generation every rank agreed on.
-  [[nodiscard]] std::uint64_t generation() const;
+  [[nodiscard]] std::uint64_t generation() const override;
 
   /// Path serving the current generation.
-  [[nodiscard]] std::string source_path() const;
+  [[nodiscard]] std::string source_path() const override;
 
   /// Per-rank counters, gathered live.  \throws ClusterError as predict().
   [[nodiscard]] std::vector<RankStats> stats();
 
-  /// Streaming front end: reads rows (numeric or raw text, following the
-  /// reader's format), predicts in micro-batches of \p batch_size, writes
-  /// predictions — with confidence/band heads when the writer carries a
-  /// HeadMode — in input order.  On ClusterError the admitted rows of
-  /// earlier batches are already flushed downstream and the error is
-  /// rethrown with the current input line appended.
-  /// \throws std::invalid_argument when the reader's format disagrees with
-  /// the pipeline's input mode or the writer's head with its kind.
-  struct StreamStats {
-    std::uint64_t rows = 0;
-    std::uint64_t batches = 0;
-  };
-  StreamStats serve_stream(serve::RowReader& reader,
-                           serve::PredictionWriter& writer,
-                           std::size_t batch_size);
+  /// The `!stats` suffix: ` rankR=rows:N,batches:B,gen:G` for every rank,
+  /// from stats().
+  [[nodiscard]] std::string stats_suffix() override;
 
  private:
-  [[nodiscard]] BatchResult predict_locked(
-      std::span<const std::vector<double>> rows);
+  /// One locked exchange: scatter, generation check, scheme reduce.
+  template <typename Rows>
+  [[nodiscard]] HeadBatchResult run_batch(Rows rows, bool head);
   /// Scatter builders for the two input modes; Rows-scheme requests carry
   /// each rank's row slice, Classes-scheme requests broadcast the batch.
-  [[nodiscard]] std::vector<std::string> build_predict_requests(
+  [[nodiscard]] std::vector<std::string> build_requests(
       std::span<const std::vector<double>> rows, bool head);
-  [[nodiscard]] std::vector<std::string> build_text_requests(
+  [[nodiscard]] std::vector<std::string> build_requests(
       std::span<const std::string> rows, bool head);
-  /// Generation check + the scheme reduce over gathered predict responses.
-  [[nodiscard]] BatchResult gather_predictions(
-      const std::vector<std::string>& responses, std::size_t nrows);
-  [[nodiscard]] HeadBatchResult gather_heads(
-      const std::vector<std::string>& responses, std::size_t nrows);
+  /// Generation check + the scheme reduce over gathered predict responses
+  /// (heads left empty when \p head is false).
+  [[nodiscard]] HeadBatchResult gather(
+      const std::vector<std::string>& responses, std::size_t nrows,
+      bool head);
   [[nodiscard]] std::uint64_t checked_generation(
       const std::vector<std::string>& responses) const;
   /// Broadcast + divergence check + outcome parse shared by both adapt

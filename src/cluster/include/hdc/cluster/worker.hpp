@@ -18,30 +18,13 @@
 /// cross-endian concerns — but the layout is pinned here so the coordinator,
 /// the workers and the tests agree on one encoding:
 ///
-///   predict request   [op][u64 nrows][u64 nfeat][nrows*nfeat f64]
-///   predict response  [ok][u64 generation][u64 n] then either
-///                       n f64 predictions           (Rows scheme)
-///                       n (u64 dist, u64 index)     (Classes scheme)
-///   reload request    [op][u64 len][path bytes]
-///   reload response   [ok][u64 generation]
-///   adapt request     [op][f64 target][u64 nfeat][nfeat f64]
-///   adapt response    [ok][u64 generation][f64 predicted][u64 updated]
-///                       [u64 feedback][u64 updates][u64 overlay_rows]
-///   delta-rows req.   [op]
-///   delta-rows resp.  [ok][u64 generation][u64 nrows][u64 wpr] then
-///                       nrows ([u64 index][wpr u64 row words])
-///   stats response    [ok][u64 rank][u64 generation][u64 rows][u64 batches]
-///   ping response     [ok][u64 rank]
-///   error response    [err][message bytes]
-///
-/// The flags-carrying `Predict2` frame extends prediction to raw-text rows
-/// and head-carrying responses without touching the layouts above:
-///
-///   predict2 request  [op][u8 flags][u64 nrows] then
+///   predict request   [op][u8 flags][u64 nrows] then
 ///                       numeric: [u64 nfeat][nrows*nfeat f64]
-///                       text (bit 0): nrows ([u64 len][len text bytes])
-///   predict2 response [ok][u64 generation][u64 n] then
-///                       flags bit 1 (head) clear: exactly as predict
+///                       text (flags bit 0): nrows ([u64 len][len bytes])
+///   predict response  [ok][u64 generation][u64 n] then
+///                       flags bit 1 (head) clear:
+///                         Rows scheme:    n f64 predictions
+///                         Classes scheme: n (u64 dist, u64 index)
 ///                       Rows + classifier head:  n (f64 label, f64 conf)
 ///                       Rows + regressor head:   n (f64 value, f64 p10,
 ///                                                   f64 p50, f64 p90)
@@ -52,10 +35,22 @@
 ///                         n * slice_len u64 distances — the rank's slice
 ///                         of the label-grid profile; concatenated in rank
 ///                         order it is the full profile, so the coordinator
-///                         reproduces predict() (argmin) and the band
+///                         reproduces the argmin prediction and the band
 ///                         (band_from_distances) bit-identically
-///   adapt-text req.   [op][f64 target][u64 len][len text bytes]
-///   adapt-text resp.  exactly the adapt response
+///   reload request    [op][u64 len][path bytes]
+///   reload response   [ok][u64 generation]
+///   adapt request     [op][u8 flags][f64 target] then one row, laid out
+///                       as in a predict request:
+///                       numeric: [u64 nfeat][nfeat f64]
+///                       text (flags bit 0): [u64 len][len bytes]
+///   adapt response    [ok][u64 generation][f64 predicted][u64 updated]
+///                       [u64 feedback][u64 updates][u64 overlay_rows]
+///   delta-rows req.   [op]
+///   delta-rows resp.  [ok][u64 generation][u64 nrows][u64 wpr] then
+///                       nrows ([u64 index][wpr u64 row words])
+///   stats response    [ok][u64 rank][u64 generation][u64 rows][u64 batches]
+///   ping response     [ok][u64 rank]
+///   error response    [err][message bytes]
 ///
 /// Under the `Classes` scheme a worker never produces final predictions: it
 /// returns its slice's best `(distance, global index)` per row — the
@@ -70,7 +65,7 @@
 /// `Adapt` broadcasts one feedback sample to every rank; each rank applies
 /// it to a rank-local copy-on-write overlay (hdc/core/adaptive.hpp) seeded
 /// with the shared `kDefaultAdaptSeed`, so overlays are bit-identical
-/// across ranks by construction and every later `Predict` serves the
+/// across ranks by construction and every later `Predict2` serves the
 /// adapted model without further coordination.  `DeltaRows` reports the
 /// rank's current model rows that differ from the tracked *base* snapshot
 /// file (the last full snapshot loaded), which the coordinator verifies are
@@ -83,6 +78,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "hdc/cluster/shard.hpp"
 #include "hdc/core/adaptive.hpp"
@@ -95,17 +91,15 @@ namespace hdc::cluster {
 /// Request opcodes (first payload byte of a request frame).
 enum class WorkerOp : std::uint8_t {
   Ping = 1,
-  Predict = 2,
   Reload = 3,
   Stats = 4,
   Shutdown = 5,
   Adapt = 6,
   DeltaRows = 7,
   Predict2 = 8,
-  AdaptText = 9,
 };
 
-/// `Predict2` request flags (second payload byte).
+/// Request flags (second payload byte of `Predict2` and `Adapt` frames).
 inline constexpr std::uint8_t kPredictFlagText = 1;  ///< Rows are raw text.
 inline constexpr std::uint8_t kPredictFlagHead = 2;  ///< Carry head fields.
 
@@ -163,17 +157,21 @@ class Worker {
   }
 
  private:
-  [[nodiscard]] std::string handle_predict(std::string_view body);
   [[nodiscard]] std::string handle_predict2(std::string_view body);
   [[nodiscard]] std::string handle_reload(std::string_view body);
   [[nodiscard]] std::string handle_adapt(std::string_view body);
-  [[nodiscard]] std::string handle_adapt_text(std::string_view body);
   [[nodiscard]] std::string handle_delta_rows();
-  /// Post-encoding tail shared by Adapt and AdaptText: validates the
-  /// target, lazily creates the overlay, applies the update and builds the
-  /// (identical) response frame.
-  [[nodiscard]] std::string adapt_response(double target,
-                                           const Hypervector& encoded);
+  /// The flags byte leading a Predict2 or Adapt body: only \p allowed bits
+  /// may be set, and the text bit must match the pipeline's input mode.
+  [[nodiscard]] std::uint8_t checked_flags(std::string_view body,
+                                           std::uint8_t allowed,
+                                           const char* what) const;
+  /// Encodes the \p nrows rows that fill a Predict2 or Adapt body from
+  /// offset 9 on (the layouts share this row payload).
+  [[nodiscard]] std::vector<Hypervector> encode_rows(std::string_view body,
+                                                     std::size_t nrows,
+                                                     bool text,
+                                                     const char* what) const;
   void predict_rows(std::span<const Hypervector> encoded, bool head,
                     std::string& out) const;
   void predict_classes(std::span<const Hypervector> encoded, bool head,
@@ -200,14 +198,14 @@ class Worker {
 /// Payload builders shared by the coordinator and the tests; the layouts
 /// are documented in the file comment.
 [[nodiscard]] std::string encode_ping_request();
-[[nodiscard]] std::string encode_predict_request(
-    const double* rows, std::size_t nrows, std::size_t nfeat);
 [[nodiscard]] std::string encode_reload_request(const std::string& path);
 [[nodiscard]] std::string encode_stats_request();
 [[nodiscard]] std::string encode_shutdown_request();
 [[nodiscard]] std::string encode_adapt_request(double target,
                                                const double* features,
                                                std::size_t nfeat);
+[[nodiscard]] std::string encode_adapt_request(double target,
+                                               std::string_view text);
 [[nodiscard]] std::string encode_delta_rows_request();
 [[nodiscard]] std::string encode_predict2_request(const double* rows,
                                                   std::size_t nrows,
@@ -215,8 +213,6 @@ class Worker {
                                                   bool head);
 [[nodiscard]] std::string encode_predict2_text_request(
     std::span<const std::string> rows, bool head);
-[[nodiscard]] std::string encode_adapt_text_request(double target,
-                                                    std::string_view text);
 
 /// Little-endian field helpers for the fixed-width payload layout.
 void put_u64(std::string& out, std::uint64_t value);

@@ -18,6 +18,23 @@ constexpr std::size_t kGenOffset = 1;
 constexpr std::size_t kCountOffset = 9;
 constexpr std::size_t kDataOffset = 17;
 
+/// One request per rank: \p encode(begin, end) of the rank's row slice
+/// under the Rows scheme, of the whole batch (built once) under Classes.
+template <typename Encode>
+std::vector<std::string> scatter(ShardScheme scheme, std::size_t replicas,
+                                 std::size_t nrows, Encode encode) {
+  std::vector<std::string> requests(replicas);
+  for (std::size_t rank = 0; rank < replicas; ++rank) {
+    if (scheme == ShardScheme::Rows) {
+      requests[rank] = encode(shard_begin(rank, replicas, nrows),
+                              shard_end(rank, replicas, nrows));
+    } else {
+      requests[rank] = rank == 0 ? encode(0, nrows) : requests[0];
+    }
+  }
+  return requests;
+}
+
 }  // namespace
 
 ShardedServer::ShardedServer(std::string snapshot_path,
@@ -36,14 +53,7 @@ ShardedServer::ShardedServer(std::string snapshot_path,
     comm_ = std::make_unique<ForkComm>(base, options_.replicas);
   }
   comm_->barrier();
-}
-
-io::PipelineKind ShardedServer::kind() const noexcept {
-  return comm_->local_worker().pipeline().kind();
-}
-
-std::size_t ShardedServer::num_features() const noexcept {
-  return comm_->local_worker().pipeline().num_features();
+  set_shape(comm_->local_worker().pipeline());
 }
 
 std::size_t ShardedServer::dimension() const noexcept {
@@ -67,47 +77,51 @@ std::vector<std::string> ShardedServer::checked_exchange(
   return responses;
 }
 
-ShardedServer::BatchResult ShardedServer::predict(
-    std::span<const std::vector<double>> rows) {
+template <typename Rows>
+ShardedServer::HeadBatchResult ShardedServer::run_batch(Rows rows,
+                                                        bool head) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return predict_locked(rows);
+  return gather(checked_exchange(build_requests(rows, head), "predict"),
+                rows.size(), head);
 }
 
-ShardedServer::BatchResult ShardedServer::predict_locked(
+ShardedServer::BatchResult ShardedServer::predict(
     std::span<const std::vector<double>> rows) {
-  const std::vector<std::string> responses = checked_exchange(
-      build_predict_requests(rows, /*head=*/false), "predict");
-  return gather_predictions(responses, rows.size());
+  HeadBatchResult batch = run_batch(rows, /*head=*/false);
+  return {std::move(batch.values), batch.generation};
 }
 
 ShardedServer::BatchResult ShardedServer::predict_text(
     std::span<const std::string> rows) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::vector<std::string> responses = checked_exchange(
-      build_text_requests(rows, /*head=*/false), "predict");
-  return gather_predictions(responses, rows.size());
+  HeadBatchResult batch = run_batch(rows, /*head=*/false);
+  return {std::move(batch.values), batch.generation};
 }
 
 ShardedServer::HeadBatchResult ShardedServer::predict_head(
     std::span<const std::vector<double>> rows) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::vector<std::string> responses = checked_exchange(
-      build_predict_requests(rows, /*head=*/true), "predict");
-  return gather_heads(responses, rows.size());
+  return run_batch(rows, /*head=*/true);
 }
 
 ShardedServer::HeadBatchResult ShardedServer::predict_text_head(
     std::span<const std::string> rows) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::vector<std::string> responses = checked_exchange(
-      build_text_requests(rows, /*head=*/true), "predict");
-  return gather_heads(responses, rows.size());
+  return run_batch(rows, /*head=*/true);
 }
 
-std::vector<std::string> ShardedServer::build_predict_requests(
+void ShardedServer::predict(const serve::RowBatch& batch,
+                            serve::HeadMode head, bool /*adapted*/,
+                            serve::Predictions& out) {
+  const bool with_head = head != serve::HeadMode::None;
+  HeadBatchResult result = input() == io::PipelineInput::Text
+                               ? run_batch(batch.text_rows, with_head)
+                               : run_batch(batch.rows, with_head);
+  out.values = std::move(result.values);
+  out.confidences = std::move(result.confidences);
+  out.bands = std::move(result.bands);
+}
+
+std::vector<std::string> ShardedServer::build_requests(
     std::span<const std::vector<double>> rows, bool head) {
-  if (comm_->local_worker().pipeline().input() !=
-      io::PipelineInput::Numeric) {
+  if (input() != io::PipelineInput::Numeric) {
     throw std::invalid_argument{
         "cluster predict: text pipeline takes raw rows (predict_text)"};
   }
@@ -117,63 +131,30 @@ std::vector<std::string> ShardedServer::build_predict_requests(
       throw std::invalid_argument{"cluster predict: row arity mismatch"};
     }
   }
-  const std::size_t replicas = comm_->size();
-  const std::size_t nrows = rows.size();
-  const auto encode = [&](const double* data, std::size_t count) {
-    return head ? encode_predict2_request(data, count, nfeat, true)
-                : encode_predict_request(data, count, nfeat);
-  };
-
-  std::vector<std::string> requests(replicas);
-  if (options_.scheme == ShardScheme::Rows) {
-    std::vector<double> flat;
-    for (std::size_t rank = 0; rank < replicas; ++rank) {
-      const std::size_t begin = shard_begin(rank, replicas, nrows);
-      const std::size_t end = shard_end(rank, replicas, nrows);
-      flat.clear();
-      flat.reserve((end - begin) * nfeat);
-      for (std::size_t i = begin; i < end; ++i) {
-        flat.insert(flat.end(), rows[i].begin(), rows[i].end());
-      }
-      requests[rank] = encode(flat.data(), end - begin);
-    }
-  } else {
-    std::vector<double> flat;
-    flat.reserve(nrows * nfeat);
-    for (const std::vector<double>& row : rows) {
-      flat.insert(flat.end(), row.begin(), row.end());
-    }
-    const std::string request = encode(flat.data(), nrows);
-    for (std::size_t rank = 0; rank < replicas; ++rank) {
-      requests[rank] = request;
-    }
-  }
-  return requests;
+  std::vector<double> flat;
+  return scatter(options_.scheme, comm_->size(), rows.size(),
+                 [&](std::size_t begin, std::size_t end) {
+                   flat.clear();
+                   flat.reserve((end - begin) * nfeat);
+                   for (std::size_t i = begin; i < end; ++i) {
+                     flat.insert(flat.end(), rows[i].begin(), rows[i].end());
+                   }
+                   return encode_predict2_request(flat.data(), end - begin,
+                                                  nfeat, head);
+                 });
 }
 
-std::vector<std::string> ShardedServer::build_text_requests(
+std::vector<std::string> ShardedServer::build_requests(
     std::span<const std::string> rows, bool head) {
-  if (comm_->local_worker().pipeline().input() != io::PipelineInput::Text) {
+  if (input() != io::PipelineInput::Text) {
     throw std::invalid_argument{
         "cluster predict: numeric pipeline takes feature rows, not text"};
   }
-  const std::size_t replicas = comm_->size();
-  const std::size_t nrows = rows.size();
-  std::vector<std::string> requests(replicas);
-  if (options_.scheme == ShardScheme::Rows) {
-    for (std::size_t rank = 0; rank < replicas; ++rank) {
-      const std::size_t begin = shard_begin(rank, replicas, nrows);
-      const std::size_t end = shard_end(rank, replicas, nrows);
-      requests[rank] = encode_predict2_text_request(
-          rows.subspan(begin, end - begin), head);
-    }
-  } else {
-    const std::string request = encode_predict2_text_request(rows, head);
-    for (std::size_t rank = 0; rank < replicas; ++rank) {
-      requests[rank] = request;
-    }
-  }
-  return requests;
+  return scatter(options_.scheme, comm_->size(), rows.size(),
+                 [&](std::size_t begin, std::size_t end) {
+                   return encode_predict2_text_request(
+                       rows.subspan(begin, end - begin), head);
+                 });
 }
 
 std::uint64_t ShardedServer::checked_generation(
@@ -189,25 +170,38 @@ std::uint64_t ShardedServer::checked_generation(
   return generation;
 }
 
-ShardedServer::BatchResult ShardedServer::gather_predictions(
-    const std::vector<std::string>& responses, std::size_t nrows) {
+ShardedServer::HeadBatchResult ShardedServer::gather(
+    const std::vector<std::string>& responses, std::size_t nrows,
+    bool head) {
   const std::size_t replicas = responses.size();
-  BatchResult result;
+  const bool classifier = kind() == io::PipelineKind::Classifier;
+  HeadBatchResult result;
   result.generation = checked_generation(responses);
-  result.predictions.reserve(nrows);
+  result.values.reserve(nrows);
+
   if (options_.scheme == ShardScheme::Rows) {
+    // Ranks computed predictions (and heads) locally over the full model;
+    // slices concatenate in rank order.
+    const std::size_t fields = !head ? 1 : classifier ? 2 : 4;
     for (std::size_t rank = 0; rank < replicas; ++rank) {
       const std::string& r = responses[rank];
       const std::size_t count = get_u64(r, kCountOffset);
       for (std::size_t i = 0; i < count; ++i) {
-        result.predictions.push_back(get_f64(r, kDataOffset + i * 8));
+        const std::size_t base = kDataOffset + i * fields * 8;
+        result.values.push_back(get_f64(r, base));
+        if (head && classifier) {
+          result.confidences.push_back(get_f64(r, base + 8));
+        } else if (head) {
+          result.bands.push_back(Band{get_f64(r, base + 8),
+                                      get_f64(r, base + 16),
+                                      get_f64(r, base + 24)});
+        }
       }
     }
-    if (result.predictions.size() != nrows) {
+    if (result.values.size() != nrows) {
       throw ClusterError{"cluster predict: row count mismatch in gather"};
     }
-  } else {
-    const bool classifier = kind() == io::PipelineKind::Classifier;
+  } else if (!head) {
     for (std::size_t i = 0; i < nrows; ++i) {
       std::uint64_t best_distance = kNoCandidate;
       std::uint64_t best_index = kNoCandidate;
@@ -230,51 +224,12 @@ ShardedServer::BatchResult ShardedServer::gather_predictions(
         throw ClusterError{"cluster predict: no candidate from any rank"};
       }
       if (classifier) {
-        result.predictions.push_back(static_cast<double>(best_index));
+        result.values.push_back(static_cast<double>(best_index));
       } else {
-        result.predictions.push_back(
+        result.values.push_back(
             comm_->local_worker().pipeline().regressor().labels().value_of(
                 best_index));
       }
-    }
-  }
-  return result;
-}
-
-ShardedServer::HeadBatchResult ShardedServer::gather_heads(
-    const std::vector<std::string>& responses, std::size_t nrows) {
-  const std::size_t replicas = responses.size();
-  const bool classifier = kind() == io::PipelineKind::Classifier;
-  HeadBatchResult result;
-  result.generation = checked_generation(responses);
-  result.values.reserve(nrows);
-  if (classifier) {
-    result.confidences.reserve(nrows);
-  } else {
-    result.bands.reserve(nrows);
-  }
-
-  if (options_.scheme == ShardScheme::Rows) {
-    // Ranks computed heads locally over the full model; slices concatenate
-    // in rank order exactly as plain predictions do.
-    const std::size_t fields = classifier ? 2 : 4;
-    for (std::size_t rank = 0; rank < replicas; ++rank) {
-      const std::string& r = responses[rank];
-      const std::size_t count = get_u64(r, kCountOffset);
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t base = kDataOffset + i * fields * 8;
-        result.values.push_back(get_f64(r, base));
-        if (classifier) {
-          result.confidences.push_back(get_f64(r, base + 8));
-        } else {
-          result.bands.push_back(Band{get_f64(r, base + 8),
-                                      get_f64(r, base + 16),
-                                      get_f64(r, base + 24)});
-        }
-      }
-    }
-    if (result.values.size() != nrows) {
-      throw ClusterError{"cluster predict: row count mismatch in gather"};
     }
   } else if (classifier) {
     // merge_top2 over disjoint ascending slices equals the top-2 of the
@@ -366,7 +321,7 @@ std::uint64_t ShardedServer::reload(const std::string& path) {
 serve::AdaptOutcome ShardedServer::adapt(double target,
                                          std::span<const double> features) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (comm_->local_worker().pipeline().input() != io::PipelineInput::Numeric) {
+  if (input() != io::PipelineInput::Numeric) {
     throw std::invalid_argument{
         "cluster adapt: text pipeline takes raw samples (adapt_text)"};
   }
@@ -380,11 +335,18 @@ serve::AdaptOutcome ShardedServer::adapt(double target,
 serve::AdaptOutcome ShardedServer::adapt_text(double target,
                                               std::string_view text) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (comm_->local_worker().pipeline().input() != io::PipelineInput::Text) {
+  if (input() != io::PipelineInput::Text) {
     throw std::invalid_argument{
         "cluster adapt: numeric pipeline takes feature rows, not text"};
   }
-  return adapt_exchange(encode_adapt_text_request(target, text));
+  return adapt_exchange(encode_adapt_request(target, text));
+}
+
+serve::AdaptOutcome ShardedServer::adapt(double target,
+                                         const serve::RowBatch& sample) {
+  return input() == io::PipelineInput::Text
+             ? adapt_text(target, sample.text_rows.front())
+             : adapt(target, sample.rows.front());
 }
 
 serve::AdaptOutcome ShardedServer::adapt_exchange(std::string request) {
@@ -479,109 +441,15 @@ std::vector<RankStats> ShardedServer::stats() {
   return out;
 }
 
-ShardedServer::StreamStats ShardedServer::serve_stream(
-    serve::RowReader& reader, serve::PredictionWriter& writer,
-    std::size_t batch_size) {
-  if (batch_size == 0) {
-    batch_size = 1;
+std::string ShardedServer::stats_suffix() {
+  std::string out;
+  for (const RankStats& rank : stats()) {
+    out += " rank" + std::to_string(rank.rank) +
+           "=rows:" + std::to_string(rank.rows) +
+           ",batches:" + std::to_string(rank.batches) +
+           ",gen:" + std::to_string(rank.generation);
   }
-  const bool text = reader.format() == serve::RowFormat::Text;
-  const bool pipeline_text =
-      comm_->local_worker().pipeline().input() == io::PipelineInput::Text;
-  if (text != pipeline_text) {
-    throw std::invalid_argument{
-        std::string{"cluster serve: the pipeline takes "} +
-        io::to_string(comm_->local_worker().pipeline().input()) +
-        " rows but the reader's format disagrees"};
-  }
-  const bool classifier = kind() == io::PipelineKind::Classifier;
-  const serve::HeadMode head = writer.head();
-  if (head == serve::HeadMode::Confidence && !classifier) {
-    throw std::invalid_argument{
-        "cluster serve: confidence heads come from classifiers; regressor "
-        "pipelines emit bands"};
-  }
-  if (head == serve::HeadMode::Band && classifier) {
-    throw std::invalid_argument{
-        "cluster serve: band heads come from regressors; classifier "
-        "pipelines emit confidences"};
-  }
-
-  StreamStats stats;
-  std::vector<std::vector<double>> rows;
-  std::vector<std::string> text_rows;
-  std::vector<double> row;
-  std::string text_row;
-
-  const auto flush = [&] {
-    const std::size_t count = text ? text_rows.size() : rows.size();
-    if (count == 0) {
-      return;
-    }
-    BatchResult batch;
-    HeadBatchResult heads;
-    try {
-      if (head == serve::HeadMode::None) {
-        batch = text ? predict_text(text_rows) : predict(rows);
-      } else {
-        heads = text ? predict_text_head(text_rows) : predict_head(rows);
-      }
-    } catch (const ClusterError& e) {
-      // Drain what earlier batches admitted, then rethrow with the stream
-      // position: the consumer knows exactly which rows were answered.
-      try {
-        writer.flush();
-      } catch (...) {  // NOLINT(bugprone-empty-catch)
-      }
-      throw ClusterError{std::string{e.what()} + " (at input line " +
-                         std::to_string(reader.line_number()) + "; " +
-                         std::to_string(stats.rows) +
-                         " rows already answered)"};
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t index = static_cast<std::size_t>(stats.rows) + i;
-      if (head == serve::HeadMode::Confidence) {
-        writer.write_class(index,
-                           static_cast<std::size_t>(heads.values[i]),
-                           heads.confidences[i], 0.0);
-      } else if (head == serve::HeadMode::Band) {
-        writer.write_band(index, heads.values[i], heads.bands[i], 0.0);
-      } else if (classifier) {
-        writer.write_class(
-            index, static_cast<std::size_t>(batch.predictions[i]), 0.0);
-      } else {
-        writer.write(index, batch.predictions[i], 0.0);
-      }
-    }
-    writer.flush();
-    stats.rows += count;
-    ++stats.batches;
-    rows.clear();
-    text_rows.clear();
-  };
-
-  bool more = true;
-  while (more) {
-    try {
-      more = text ? reader.next_text(text_row) : reader.next(row);
-    } catch (const serve::RowError&) {
-      flush();  // Answer everything admitted before the malformed line.
-      throw;
-    }
-    if (!more) {
-      break;
-    }
-    if (text) {
-      text_rows.push_back(text_row);
-    } else {
-      rows.push_back(row);
-    }
-    if ((text ? text_rows.size() : rows.size()) >= batch_size) {
-      flush();
-    }
-  }
-  flush();
-  return stats;
+  return out;
 }
 
 }  // namespace hdc::cluster

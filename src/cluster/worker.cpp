@@ -20,8 +20,8 @@ namespace hdc::cluster {
 
 namespace {
 
-/// Minimum payload bytes for a predict request header (op + two u64).
-constexpr std::size_t kPredictHeader = 1 + 8 + 8;
+/// Payload bytes of a numeric predict request header (op, flags, two u64).
+constexpr std::size_t kPredictHeader = 1 + 1 + 8 + 8;
 
 [[nodiscard]] std::string error_response(const std::string& message) {
   std::string out;
@@ -67,19 +67,6 @@ std::string encode_ping_request() {
   return std::string(1, static_cast<char>(WorkerOp::Ping));
 }
 
-std::string encode_predict_request(const double* rows, std::size_t nrows,
-                                   std::size_t nfeat) {
-  std::string out;
-  out.reserve(kPredictHeader + nrows * nfeat * 8);
-  out.push_back(static_cast<char>(WorkerOp::Predict));
-  put_u64(out, nrows);
-  put_u64(out, nfeat);
-  if (nrows * nfeat != 0) {
-    out.append(reinterpret_cast<const char*>(rows), nrows * nfeat * 8);
-  }
-  return out;
-}
-
 std::string encode_reload_request(const std::string& path) {
   std::string out;
   out.reserve(1 + 8 + path.size());
@@ -100,13 +87,25 @@ std::string encode_shutdown_request() {
 std::string encode_adapt_request(double target, const double* features,
                                  std::size_t nfeat) {
   std::string out;
-  out.reserve(1 + 8 + 8 + nfeat * 8);
+  out.reserve(2 + 8 + 8 + nfeat * 8);
   out.push_back(static_cast<char>(WorkerOp::Adapt));
+  out.push_back(0);
   put_f64(out, target);
   put_u64(out, nfeat);
   if (nfeat != 0) {
     out.append(reinterpret_cast<const char*>(features), nfeat * 8);
   }
+  return out;
+}
+
+std::string encode_adapt_request(double target, std::string_view text) {
+  std::string out;
+  out.reserve(2 + 8 + 8 + text.size());
+  out.push_back(static_cast<char>(WorkerOp::Adapt));
+  out.push_back(static_cast<char>(kPredictFlagText));
+  put_f64(out, target);
+  put_u64(out, text.size());
+  out.append(text);
   return out;
 }
 
@@ -117,7 +116,7 @@ std::string encode_delta_rows_request() {
 std::string encode_predict2_request(const double* rows, std::size_t nrows,
                                     std::size_t nfeat, bool head) {
   std::string out;
-  out.reserve(2 + kPredictHeader - 1 + nrows * nfeat * 8);
+  out.reserve(kPredictHeader + nrows * nfeat * 8);
   out.push_back(static_cast<char>(WorkerOp::Predict2));
   out.push_back(static_cast<char>(head ? kPredictFlagHead : 0));
   put_u64(out, nrows);
@@ -147,16 +146,6 @@ std::string encode_predict2_text_request(std::span<const std::string> rows,
   return out;
 }
 
-std::string encode_adapt_text_request(double target, std::string_view text) {
-  std::string out;
-  out.reserve(1 + 8 + 8 + text.size());
-  out.push_back(static_cast<char>(WorkerOp::AdaptText));
-  put_f64(out, target);
-  put_u64(out, text.size());
-  out.append(text);
-  return out;
-}
-
 Worker::Worker(Config cfg)
     : cfg_(std::move(cfg)),
       loaded_(io::load_pipeline(cfg_.snapshot_path, cfg_.integrity,
@@ -182,8 +171,6 @@ std::string Worker::handle(std::string_view request) {
         put_u64(out, cfg_.rank);
         return out;
       }
-      case WorkerOp::Predict:
-        return handle_predict(request.substr(1));
       case WorkerOp::Reload:
         return handle_reload(request.substr(1));
       case WorkerOp::Stats: {
@@ -203,8 +190,6 @@ std::string Worker::handle(std::string_view request) {
         return handle_delta_rows();
       case WorkerOp::Predict2:
         return handle_predict2(request.substr(1));
-      case WorkerOp::AdaptText:
-        return handle_adapt_text(request.substr(1));
     }
     return error_response("unknown opcode");
   } catch (const std::exception& e) {
@@ -212,88 +197,72 @@ std::string Worker::handle(std::string_view request) {
   }
 }
 
-std::string Worker::handle_predict(std::string_view body) {
-  const std::size_t nrows = get_u64(body, 0);
-  const std::size_t nfeat = get_u64(body, 8);
-  if (nfeat != loaded_.pipeline.num_features()) {
-    throw std::invalid_argument{"predict: feature arity mismatch"};
-  }
-  const std::size_t want = 16 + nrows * nfeat * 8;
-  if (body.size() != want) {
-    throw std::invalid_argument{"predict: truncated row payload"};
-  }
-  const char* data = body.data() + 16;
-  const io::Pipeline& p = loaded_.pipeline;
-  std::vector<Hypervector> encoded;
-  encoded.reserve(nrows);
-  std::vector<double> row(nfeat);
-  for (std::size_t i = 0; i < nrows; ++i) {
-    std::memcpy(row.data(), data + i * nfeat * 8, nfeat * 8);
-    encoded.push_back(p.encode(row));
-  }
-
-  std::string out;
-  out.push_back(static_cast<char>(kWorkerOk));
-  put_u64(out, generation_);
-  put_u64(out, nrows);
-  if (cfg_.scheme == ShardScheme::Rows) {
-    predict_rows(encoded, /*head=*/false, out);
-  } else {
-    predict_classes(encoded, /*head=*/false, out);
-  }
-  rows_ += nrows;
-  ++batches_;
-  return out;
-}
-
-std::string Worker::handle_predict2(std::string_view body) {
+std::uint8_t Worker::checked_flags(std::string_view body,
+                                   std::uint8_t allowed,
+                                   const char* what) const {
   if (body.empty()) {
-    throw std::invalid_argument{"predict: missing flags byte"};
+    throw std::invalid_argument{std::string{what} + ": missing flags byte"};
   }
-  const std::uint8_t flags = static_cast<std::uint8_t>(body[0]);
-  if ((flags & ~(kPredictFlagText | kPredictFlagHead)) != 0) {
-    throw std::invalid_argument{"predict: unknown request flags"};
+  const auto flags = static_cast<std::uint8_t>(body[0]);
+  if ((flags & ~allowed) != 0) {
+    throw std::invalid_argument{std::string{what} + ": unknown request flags"};
   }
   const bool text = (flags & kPredictFlagText) != 0;
-  const bool head = (flags & kPredictFlagHead) != 0;
-  const io::Pipeline& p = loaded_.pipeline;
-  if (text != (p.input() == io::PipelineInput::Text)) {
-    throw std::invalid_argument{
-        std::string{"predict: request carries "} +
-        (text ? "text" : "numeric") + " rows but the pipeline takes " +
-        io::to_string(p.input()) + " rows"};
+  const io::PipelineInput input = loaded_.pipeline.input();
+  if (text != (input == io::PipelineInput::Text)) {
+    throw std::invalid_argument{std::string{what} + ": request carries " +
+                                (text ? "text" : "numeric") +
+                                " rows but the pipeline takes " +
+                                io::to_string(input) + " rows"};
   }
-  const std::size_t nrows = get_u64(body, 1);
+  return flags;
+}
+
+std::vector<Hypervector> Worker::encode_rows(std::string_view body,
+                                             std::size_t nrows, bool text,
+                                             const char* what) const {
+  const io::Pipeline& p = loaded_.pipeline;
+  const std::string prefix = std::string{what} + ": ";
   std::vector<Hypervector> encoded;
   encoded.reserve(nrows);
+  std::size_t at = 9;
   if (text) {
-    std::size_t at = 9;
     for (std::size_t i = 0; i < nrows; ++i) {
       const std::size_t len = get_u64(body, at);
       at += 8;
       if (len > body.size() - at) {
-        throw std::invalid_argument{"predict: truncated text row"};
+        throw std::invalid_argument{prefix + "truncated text row"};
       }
       encoded.push_back(p.encode_text(body.substr(at, len)));
       at += len;
     }
     if (at != body.size()) {
-      throw std::invalid_argument{"predict: trailing bytes after text rows"};
+      throw std::invalid_argument{prefix + "trailing bytes after text rows"};
     }
-  } else {
-    const std::size_t nfeat = get_u64(body, 9);
-    if (nfeat != p.num_features()) {
-      throw std::invalid_argument{"predict: feature arity mismatch"};
-    }
-    if (body.size() != 17 + nrows * nfeat * 8) {
-      throw std::invalid_argument{"predict: truncated row payload"};
-    }
-    std::vector<double> row(nfeat);
-    for (std::size_t i = 0; i < nrows; ++i) {
-      std::memcpy(row.data(), body.data() + 17 + i * nfeat * 8, nfeat * 8);
-      encoded.push_back(p.encode(row));
-    }
+    return encoded;
   }
+  const std::size_t nfeat = get_u64(body, at);
+  if (nfeat != p.num_features()) {
+    throw std::invalid_argument{prefix + "feature arity mismatch"};
+  }
+  if (body.size() != 17 + nrows * nfeat * 8) {
+    throw std::invalid_argument{prefix + "truncated row payload"};
+  }
+  std::vector<double> row(nfeat);
+  for (std::size_t i = 0; i < nrows; ++i) {
+    std::memcpy(row.data(), body.data() + 17 + i * nfeat * 8, nfeat * 8);
+    encoded.push_back(p.encode(row));
+  }
+  return encoded;
+}
+
+std::string Worker::handle_predict2(std::string_view body) {
+  const std::uint8_t flags =
+      checked_flags(body, kPredictFlagText | kPredictFlagHead, "predict");
+  const bool head = (flags & kPredictFlagHead) != 0;
+  const std::size_t nrows = get_u64(body, 1);
+  const std::vector<Hypervector> encoded =
+      encode_rows(body, nrows, (flags & kPredictFlagText) != 0, "predict");
 
   std::string out;
   out.push_back(static_cast<char>(kWorkerOk));
@@ -470,32 +439,11 @@ std::string Worker::handle_reload(std::string_view body) {
 }
 
 std::string Worker::handle_adapt(std::string_view body) {
-  const double target = get_f64(body, 0);
-  const std::size_t nfeat = get_u64(body, 8);
-  if (nfeat != loaded_.pipeline.num_features()) {
-    throw std::invalid_argument{"adapt: feature arity mismatch"};
-  }
-  if (body.size() != 16 + nfeat * 8) {
-    throw std::invalid_argument{"adapt: truncated feature payload"};
-  }
-  std::vector<double> row(nfeat);
-  std::memcpy(row.data(), body.data() + 16, nfeat * 8);
-  return adapt_response(target, loaded_.pipeline.encode(row));
-}
-
-std::string Worker::handle_adapt_text(std::string_view body) {
-  const double target = get_f64(body, 0);
-  const std::size_t len = get_u64(body, 8);
-  if (body.size() != 16 + len) {
-    throw std::invalid_argument{"adapt: truncated text payload"};
-  }
-  return adapt_response(target,
-                        loaded_.pipeline.encode_text(body.substr(16, len)));
-}
-
-std::string Worker::adapt_response(double target,
-                                   const Hypervector& encoded) {
+  const bool text =
+      (checked_flags(body, kPredictFlagText, "adapt") & kPredictFlagText) != 0;
   const io::Pipeline& p = loaded_.pipeline;
+  const double target = get_f64(body, 1);
+  const Hypervector encoded = encode_rows(body, 1, text, "adapt").front();
   // Validate before lazily creating the overlay so a rejected sample
   // leaves the rank exactly as it was (every rank must stay in lockstep).
   std::size_t label = 0;

@@ -32,6 +32,13 @@ bool cpu_has_avx2() noexcept;
 bool cpu_has_avx512() noexcept;
 bool cpu_has_neon() noexcept;
 
+// Every helper below has internal linkage on purpose: each variant TU gets
+// its own copy, compiled under its own ISA flags.  An inline function with
+// external linkage may be merged by the linker with the copy a wider-ISA TU
+// emitted (at -O0 nothing inlines them away), and the scalar variant would
+// then run it.
+namespace {
+
 /// Shared row loops: every variant's nearest_hamming / hamming_many is the
 /// same scan instantiated over that variant's hamming core, compiled inside
 /// the variant's own TU so the core inlines under its ISA flags.
@@ -63,12 +70,6 @@ inline void hamming_rows(HammingFn hamming_fn, const std::uint64_t* query,
     out[i] = hamming_fn(query, arena + i * stride, words);
   }
 }
-
-// The bundling helpers below have internal linkage on purpose: every
-// variant TU gets its own copy, compiled under its own ISA flags.  An inline
-// function with external linkage may be merged by the linker with the copy
-// a wider-ISA TU emitted, and the scalar variant would then run it.
-namespace {
 
 /// Portable bundling loops over a dim-bit row, partial last word included:
 /// the scalar and NEON table entries, and the tail every SIMD variant hands

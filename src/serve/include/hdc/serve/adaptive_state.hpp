@@ -44,7 +44,7 @@
 namespace hdc::serve {
 
 /// What one feedback row did — the `!adapt` reply fields, identical for
-/// the local overlay and the cluster broadcast (ClusterHooks::adapt).
+/// the local overlay and the cluster broadcast (PredictionPlane::adapt).
 struct AdaptOutcome {
   double predicted = 0.0;  ///< Pre-update prediction for the feedback row.
   bool updated = false;    ///< Whether the row actually changed the model.
@@ -63,7 +63,7 @@ class AdaptiveState {
   explicit AdaptiveState(ServingStatePtr base,
                          std::uint64_t seed = kDefaultAdaptSeed);
 
-  /// The pinned generation (compare against SwapState::load() to detect
+  /// The pinned generation (compare against the active state to detect
   /// that a reload retired this overlay).
   [[nodiscard]] const ServingStatePtr& base_state() const noexcept {
     return base_;

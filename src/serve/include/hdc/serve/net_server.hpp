@@ -11,17 +11,18 @@
 /// `NetServer` is that front end:
 ///
 ///  * every accepted connection gets its own `RowReader`/`PredictionWriter`
-///    pair and a poll-driven micro-batch loop whose flush deadline is a
-///    *real* latency bound — the poll timeout is the time left until the
-///    oldest admitted row's deadline, so a stalled client can never pin
-///    rows in a partial batch (the blocking `Server::run` can only
-///    approximate this; see ServerOptions::flush_interval);
-///  * batches from all connections fan out over one shared
-///    `hdc::runtime::ThreadPool`;
-///  * the model is held in a `SwapState` and hot-swapped with zero
-///    downtime: `reload()` maps and fully validates the new snapshot off
-///    to the side (`io::load_pipeline` + `io::ensure_swappable`), then
-///    flips the active `shared_ptr` atomically.  Batches already encoding
+///    pair and a `BatchLoop` polled with a flush deadline that is a *real*
+///    latency bound — the poll timeout is the time left until the oldest
+///    admitted row's deadline, so a stalled client can never pin rows in a
+///    partial batch (the blocking `Server::run` can only approximate this;
+///    see ServerOptions::flush_interval);
+///  * all connections predict through one shared `PredictionPlane`: a
+///    `LocalPlane`, whose batch engines and worker pool are built once per
+///    model generation, or the cluster coordinator;
+///  * a local plane hot-swaps its model with zero downtime: a reload maps
+///    and fully validates the new snapshot off to the side
+///    (`io::load_pipeline` + `io::ensure_swappable`), then flips the active
+///    `shared_ptr`.  Batches already encoding
 ///    finish on the mapping they started with; the old mapping is dropped
 ///    when its last in-flight batch releases it.  A rejected reload
 ///    (corrupt file, wrong arity, wrong kind) leaves the incumbent serving
@@ -80,65 +81,16 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <mutex>
-#include <span>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "hdc/io/reload.hpp"
 #include "hdc/runtime/batch_encoder.hpp"
-#include "hdc/serve/adaptive_state.hpp"
+#include "hdc/serve/prediction_plane.hpp"
 #include "hdc/serve/prediction_writer.hpp"
 #include "hdc/serve/row_reader.hpp"
-#include "hdc/serve/swap_state.hpp"
 
 namespace hdc::serve {
-
-/// Optional delegation of the model plane to an external coordinator
-/// (hdc::cluster::ShardedServer behind `hdcgen serve --replicas`).  When
-/// `predict` is set, connection loops route micro-batches through it
-/// instead of the in-process batch engines — the socket front end fans
-/// in/out of the cluster transparently — and the control protocol follows:
-/// `!reload` goes through `reload` (throws to reject), `generation`/
-/// `source` back the `!ping`/`!reload` replies, and `stats_suffix` is
-/// appended verbatim to the `!stats` reply (per-rank counters).  All
-/// callables must be thread-safe; unset members fall back to the local
-/// swap-state behaviour.
-/// One head-carrying batch result from the cluster: values[i] is row i's
-/// prediction; confidences (classifiers) or bands (regressors) run
-/// parallel to it, the other stays empty.
-struct HeadBatch {
-  std::vector<double> values;
-  std::vector<double> confidences;
-  std::vector<Band> bands;
-};
-
-struct ClusterHooks {
-  std::function<std::vector<double>(std::span<const std::vector<double>>)>
-      predict;
-  std::function<std::uint64_t(const std::string& path)> reload;
-  std::function<std::uint64_t()> generation;
-  std::function<std::string()> source;
-  std::function<std::string()> stats_suffix;
-  /// `!adapt` feedback: broadcast (target, features) to every rank and
-  /// return the agreed outcome (ranks must agree bit-identically).
-  std::function<AdaptOutcome(double target, std::span<const double> features)>
-      adapt;
-  /// `!delta PATH`: write the cluster's adapted-vs-base difference as a
-  /// delta file; returns the changed-row count.
-  std::function<std::uint64_t(const std::string& out_path)> export_delta;
-  /// Text-pipeline twins: raw-text micro-batches and feedback rows.  Must
-  /// be set when the server's input format is Text and `predict` is set.
-  std::function<std::vector<double>(std::span<const std::string>)>
-      predict_text;
-  std::function<AdaptOutcome(double target, std::string_view text)> adapt_text;
-  /// Head-carrying prediction planes, used instead of `predict` /
-  /// `predict_text` when the server emits a prediction head.  Must be set
-  /// when a head mode is configured and `predict` is set.
-  std::function<HeadBatch(std::span<const std::vector<double>>)> predict_head;
-  std::function<HeadBatch(std::span<const std::string>)> predict_text_head;
-};
 
 /// Listener + micro-batching policy for the socket front end.
 struct NetServerOptions {
@@ -157,7 +109,7 @@ struct NetServerOptions {
   /// latency, least batching setting.
   std::chrono::microseconds flush_interval{2000};
   /// Worker threads for the internally created pool when none is passed
-  /// (0 = hardware concurrency).
+  /// (0 = hardware concurrency); unused when serving an external plane.
   std::size_t num_threads = 0;
   /// Wire formats, as in the stdin front end.  `input` must match the
   /// pipeline's input mode (Text for text pipelines) and `head` its kind
@@ -169,12 +121,11 @@ struct NetServerOptions {
   HeadMode head = HeadMode::None;
   /// Connections beyond this are refused with `!error server full`.
   std::size_t max_connections = 256;
-  /// Residency hints applied when reload() maps a replacement snapshot
+  /// Residency hints applied when a reload maps a replacement snapshot
   /// (reloads always checksum-verify regardless of how the initial
-  /// snapshot was opened: a hot-swap must never trust unvetted bytes).
+  /// snapshot was opened: a hot-swap must never trust unvetted bytes);
+  /// unused when serving an external plane.
   io::MappingOptions mapping{};
-  /// Sharded-serving delegation; inactive while `cluster.predict` is unset.
-  ClusterHooks cluster{};
 };
 
 /// The persistent socket server.  Construction binds the listeners (so
@@ -182,11 +133,19 @@ struct NetServerOptions {
 /// copyable or movable; destroy it only after run() has returned.
 class NetServer {
  public:
-  /// \throws std::invalid_argument on batch_size == 0 or no listener
-  /// configured; std::runtime_error when a socket cannot be bound.
+  /// Serves \p loaded through an owned LocalPlane: \p snapshot_path is
+  /// what a bare `!reload` or SIGHUP re-reads, and the worker pool is
+  /// \p pool or one created on the first data batch.
+  /// \throws std::invalid_argument on batch_size == 0, no listener
+  /// configured, or an input format or head the pipeline cannot serve;
+  /// std::runtime_error when a socket cannot be bound.
   NetServer(io::LoadedPipeline loaded, std::string snapshot_path,
             NetServerOptions options = {},
             runtime::ThreadPoolPtr pool = nullptr);
+
+  /// Serves \p plane (the cluster coordinator behind `hdcgen serve
+  /// --replicas`), which must outlive the server.  \throws as above.
+  NetServer(PredictionPlane& plane, NetServerOptions options = {});
   ~NetServer();
 
   NetServer(const NetServer&) = delete;
@@ -207,33 +166,17 @@ class NetServer {
   /// flushes nothing further.  Safe from any thread; idempotent.
   void stop();
 
-  /// Hot-swaps the serving model to the (fully validated) snapshot at
-  /// \p path; in-flight batches finish on the old mapping.  \p path may be
-  /// an HDCS delta file, which is applied against base_snapshot_path()
-  /// in memory; a full snapshot becomes the new tracked base.  Returns the
-  /// new active state.  \throws io::SnapshotError and leaves the incumbent
-  /// serving on any validation failure.  Safe from any thread.
-  ServingStatePtr reload(const std::string& path);
-
-  /// reload() of the path the active state was loaded from — the SIGHUP
-  /// semantic ("the trainer overwrote my snapshot; pick it up").
-  ServingStatePtr reload();
-
-  /// Write end of the self-pipe that requests an asynchronous reload():
-  /// writing one byte (async-signal-safe) makes the accept loop perform
-  /// reload() and log the outcome to stderr — wire a SIGHUP handler to
-  /// exactly this.
+  /// Write end of the self-pipe that requests an asynchronous reload:
+  /// writing one byte (async-signal-safe) makes the accept loop re-read
+  /// the plane's source snapshot and log the outcome to stderr — wire a
+  /// SIGHUP handler to exactly this.
   [[nodiscard]] int reload_notify_fd() const noexcept {
     return reload_pipe_[1];
   }
 
-  /// The active model generation (0 = the snapshot run() started with;
-  /// the cluster generation when ClusterHooks are active).
+  /// The plane's active model generation (0 = the snapshot a local plane
+  /// started with; the cluster generation behind `--replicas`).
   [[nodiscard]] std::uint64_t generation() const;
-
-  /// The last *full* snapshot loaded — what delta reloads patch against and
-  /// what `!delta` diffs against.  Thread-safe.
-  [[nodiscard]] std::string base_snapshot_path() const;
 
   /// Monotonic serving counters (snapshot; concurrently updated).
   struct Stats {
@@ -248,34 +191,20 @@ class NetServer {
  private:
   struct Impl;
 
+  /// Serves \p plane, or \p owned when \p plane is null.
+  NetServer(std::unique_ptr<PredictionPlane> owned, PredictionPlane* plane,
+            const NetServerOptions& options);
   void accept_loop();
   void serve_connection(int fd);
   void serve_connection_body(int fd);
   void handle_async_reload();
-
-  /// The adaptation overlay pinned to the *current* generation, created on
-  /// first use and replaced (feedback discarded, by design: it targeted a
-  /// retired model) whenever a reload has swapped the active state since.
-  [[nodiscard]] AdaptiveStatePtr adaptive_state();
-
-  /// The shared worker pool, created on first use.  Lazy on purpose: an
-  /// impossible thread count must surface as an `!error` reply on the
-  /// first connection that needs engines (see serve_connection), not tear
-  /// the whole server down at construction — and a cluster-backed server
-  /// never pays for a pool at all.
-  [[nodiscard]] runtime::ThreadPoolPtr ensure_worker_pool();
+  void close_fds() noexcept;
+  /// plane reload() of \p path, counted as a reload or a rejection.
+  std::uint64_t reload(const std::string& path);
 
   NetServerOptions options_;
-  runtime::ThreadPoolPtr pool_;
-  SwapState swap_;
-  /// Guards base_snapshot_path_ and the adaptive_ slot (not the overlay's
-  /// own updates — AdaptiveState has its own mutex).
-  mutable std::mutex adapt_mutex_;
-  std::string base_snapshot_path_;
-  AdaptiveStatePtr adaptive_;
-  std::size_t num_features_;
-  bool classifies_;
-  bool text_input_;
+  std::unique_ptr<PredictionPlane> owned_;
+  PredictionPlane* plane_;
   std::uint16_t port_ = 0;
   int tcp_fd_ = -1;
   int unix_fd_ = -1;

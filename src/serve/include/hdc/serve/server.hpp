@@ -4,31 +4,19 @@
 /// \file server.hpp
 /// \brief Micro-batching prediction server over a restored pipeline.
 ///
-/// The serving shape the ROADMAP asks for: a replica cold-starts from one
-/// mmapped snapshot (`hdc::io::Pipeline::restore`), then streams feature
-/// rows through the `hdc::runtime` thread pool in micro-batches — rows are
-/// admitted until the batch is full *or* the configured flush interval has
-/// elapsed since the batch opened, then encoded and predicted batch-at-a-
-/// time via the BatchEncoder/BatchClassifier/BatchRegressor bridges and
-/// written out in admission order.
-///
-/// Predictions are bit-identical to calling `Pipeline::classify`/`regress`
-/// per row, for any batch size and any thread count (the batch engines'
-/// determinism contract); the serve-e2e CI suite diffs the CLI output
-/// against committed goldens to pin exactly that.
+/// A replica cold-starts from one mmapped snapshot, then streams rows in
+/// micro-batches (full batch, flush interval or end of stream) through a
+/// prediction plane and writes them out in admission order.  Predictions
+/// are bit-identical to per-row `Pipeline::classify`/`regress` calls for
+/// any batch size and thread count; serve_e2e diffs the CLI output against
+/// committed goldens to pin exactly that.
 
 #include <chrono>
 #include <cstddef>
-#include <optional>
-#include <span>
-#include <string>
-#include <vector>
+#include <memory>
 
 #include "hdc/io/pipeline.hpp"
-#include "hdc/runtime/batch_classifier.hpp"
-#include "hdc/runtime/batch_encoder.hpp"
-#include "hdc/runtime/batch_regressor.hpp"
-#include "hdc/runtime/batch_text_encoder.hpp"
+#include "hdc/serve/prediction_plane.hpp"
 #include "hdc/serve/prediction_writer.hpp"
 #include "hdc/serve/row_reader.hpp"
 
@@ -53,36 +41,28 @@ struct ServerOptions {
   std::size_t num_threads = 0;
 };
 
-/// A ready-to-serve prediction loop around one restored pipeline.
-///
-/// The pipeline (and everything the Server builds from it) may borrow a
-/// snapshot mapping: the Server must not outlive the `MappedSnapshot` it
-/// was restored from.  `predict()` and `run()` are not re-entrant on one
-/// Server, but distinct Servers may share one thread pool.
+/// The stdin front end: one blocking stream through the BatchLoop, over a
+/// LocalPlane of one restored pipeline (which must not outlive the
+/// `MappedSnapshot` it borrows) or over any plane, such as the cluster
+/// coordinator.  `run()` is not re-entrant; Servers may share a pool.
 class Server {
  public:
+  /// Serves \p pipeline through an owned LocalPlane whose worker pool is
+  /// \p pool, or one of options.num_threads threads created on first use.
   /// \throws std::invalid_argument if options.batch_size == 0.
   explicit Server(io::Pipeline pipeline, ServerOptions options = {},
                   runtime::ThreadPoolPtr pool = nullptr);
 
-  [[nodiscard]] const io::Pipeline& pipeline() const noexcept {
-    return pipeline_;
-  }
+  /// Serves \p plane, which must outlive the Server; options.num_threads is
+  /// unused (the plane owns its workers).
+  /// \throws std::invalid_argument if options.batch_size == 0.
+  explicit Server(PredictionPlane& plane, ServerOptions options = {});
+
+  /// The plane every batch goes through.
+  [[nodiscard]] PredictionPlane& plane() const noexcept { return *plane_; }
   [[nodiscard]] const ServerOptions& options() const noexcept {
     return options_;
   }
-
-  /// One micro-batch through the thread pool: encode every row, predict,
-  /// return predictions in row order (classifier labels as doubles).
-  /// \throws std::invalid_argument on a row of the wrong arity;
-  /// std::logic_error on a text pipeline (use predict_text).
-  [[nodiscard]] std::vector<double> predict(
-      std::span<const std::vector<double>> rows) const;
-
-  /// The text twin of predict(): one raw-text sample per element.
-  /// \throws std::logic_error on a numeric pipeline.
-  [[nodiscard]] std::vector<double> predict_text(
-      std::span<const std::string> rows) const;
 
   /// Serving-loop outcome.
   struct Stats {
@@ -98,17 +78,20 @@ class Server {
   /// kind (Confidence heads come from classifiers, Band heads from
   /// regressors).  \throws RowError on malformed input — every row that
   /// parsed before the bad one is predicted, written and flushed first;
+  /// PlaneError (rethrown with the input line and the rows already
+  /// answered appended) when the plane fails a batch;
   /// std::invalid_argument if the reader's format/arity or the writer's
   /// head disagrees with the pipeline.
   Stats run(RowReader& reader, PredictionWriter& writer) const;
 
  private:
-  io::Pipeline pipeline_;
+  /// Serves \p plane, or \p owned when \p plane is null.
+  Server(std::unique_ptr<PredictionPlane> owned, PredictionPlane* plane,
+         ServerOptions options);
+
+  std::unique_ptr<PredictionPlane> owned_;
+  PredictionPlane* plane_;
   ServerOptions options_;
-  runtime::ThreadPoolPtr pool_;
-  /// Exactly one is engaged, per the pipeline's input mode.
-  std::optional<runtime::BatchEncoder> encoder_;
-  std::optional<runtime::BatchTextEncoder> text_encoder_;
 };
 
 }  // namespace hdc::serve

@@ -2,7 +2,7 @@
 #define HDC_SERVE_SWAP_STATE_HPP
 
 /// \file swap_state.hpp
-/// \brief The zero-downtime hot-swap holder for a serving replica's model.
+/// \brief One immutable generation of a serving replica's model.
 ///
 /// A long-lived server cannot re-open its snapshot per request, and it
 /// cannot drop the mapping while a batch encoded over it is still in
@@ -10,21 +10,19 @@
 ///
 ///  * `ServingState` is an immutable bundle — the mmapped snapshot and the
 ///    pipeline restored over it — refcounted by `shared_ptr`.
-///  * `SwapState` holds the *active* state behind an atomic pointer.  A
-///    serving loop `load()`s at each micro-batch boundary and keeps its
-///    copy for the duration of the batch; a reloader builds and validates a
-///    complete replacement off to the side and `swap_to()`s it in one
-///    atomic flip.
+///  * `LocalPlane` holds the *active* state.  Every micro-batch copies the
+///    pointer and keeps it for the duration of the batch; a reload builds
+///    and validates a complete replacement off to the side and flips the
+///    pointer in one step.
 ///
 /// In-flight batches therefore always finish on the mapping they started
 /// on, new batches pick up the replacement immediately, and the old
 /// mapping is unmapped exactly when its last in-flight holder releases it
 /// — no lock is ever held across a predict.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -39,15 +37,21 @@ class ServingState {
  public:
   ServingState(io::LoadedPipeline loaded, std::uint64_t generation,
                std::string source_path)
-      : loaded_(std::move(loaded)),
+      : snapshot_(std::move(loaded.snapshot)),
+        pipeline_(std::move(loaded.pipeline)),
+        generation_(generation),
+        source_path_(std::move(source_path)) {}
+
+  /// A generation over a pipeline whose snapshot mapping the caller keeps
+  /// open for as long as the state lives (the stdin Server's pipeline).
+  ServingState(io::Pipeline borrowed, std::uint64_t generation,
+               std::string source_path)
+      : pipeline_(std::move(borrowed)),
         generation_(generation),
         source_path_(std::move(source_path)) {}
 
   [[nodiscard]] const io::Pipeline& pipeline() const noexcept {
-    return loaded_.pipeline;
-  }
-  [[nodiscard]] const io::MappedSnapshot& snapshot() const noexcept {
-    return loaded_.snapshot;
+    return pipeline_;
   }
   [[nodiscard]] std::uint64_t generation() const noexcept {
     return generation_;
@@ -57,52 +61,15 @@ class ServingState {
   }
 
  private:
-  io::LoadedPipeline loaded_;
+  /// Declared before the pipeline, which borrows it and so must die first;
+  /// empty for a borrowed pipeline.  The mapping never relocates on a move.
+  std::optional<io::MappedSnapshot> snapshot_;
+  io::Pipeline pipeline_;
   std::uint64_t generation_;
   std::string source_path_;
 };
 
 using ServingStatePtr = std::shared_ptr<const ServingState>;
-
-/// Atomic holder of the active ServingState (see the file comment for the
-/// protocol).  load() is wait-free for readers; swap_to() validates the
-/// replacement against the incumbent and flips, serializing concurrent
-/// reloaders behind a mutex that readers never touch.
-class SwapState {
- public:
-  /// Seeds generation 0 with the state a server starts from.
-  /// \throws std::invalid_argument if \p initial is null.
-  explicit SwapState(io::LoadedPipeline initial, std::string source_path);
-
-  /// The currently active state (acquire; never null).
-  [[nodiscard]] ServingStatePtr load() const noexcept;
-
-  /// Validates \p replacement against the incumbent (`io::ensure_swappable`
-  /// — same kind, same arity) and atomically makes it the active state.
-  /// Returns the new state (already active when this returns).  On throw
-  /// the incumbent stays active and untouched.
-  /// \throws io::SnapshotError on a shape mismatch.
-  ServingStatePtr swap_to(io::LoadedPipeline replacement,
-                          std::string source_path);
-
-  /// Generation of the active state.
-  [[nodiscard]] std::uint64_t generation() const noexcept {
-    return load()->generation();
-  }
-
- private:
-#if defined(__cpp_lib_atomic_shared_ptr)
-  std::atomic<ServingStatePtr> active_;
-#else
-  // Pre-atomic<shared_ptr> toolchains: a spare mutex copy on load().  The
-  // hot-swap semantics (in-flight batches drain on the old state) are
-  // identical, only reader wait-freedom is lost.
-  mutable std::mutex active_mutex_;
-  ServingStatePtr active_;
-#endif
-  std::mutex swap_mutex_;  ///< Serializes swap_to() callers only.
-  std::uint64_t next_generation_ = 1;
-};
 
 }  // namespace hdc::serve
 

@@ -8,7 +8,7 @@
 #include <iostream>
 #include <list>
 #include <mutex>
-#include <optional>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -16,9 +16,8 @@
 #include <utility>
 #include <vector>
 
-#include "hdc/io/delta.hpp"
-#include "hdc/runtime/batch_classifier.hpp"
-#include "hdc/runtime/batch_regressor.hpp"
+#include "hdc/serve/batch_loop.hpp"
+#include "hdc/serve/local_plane.hpp"
 
 #if !defined(_WIN32)
 #include <arpa/inet.h>
@@ -35,11 +34,7 @@ namespace hdc::serve {
 
 namespace {
 
-using clock = std::chrono::steady_clock;
-
-double microseconds_between(clock::time_point from, clock::time_point to) {
-  return std::chrono::duration<double, std::micro>(to - from).count();
-}
+using clock = BatchLoop::clock;
 
 /// Shortest round-trip decimal of a double (the `!adapt` reply's predicted=
 /// field; classifier labels print as integers this way too).
@@ -81,6 +76,25 @@ bool send_all(int fd, const char* data, std::size_t size) {
 bool send_all(int fd, const std::string& text) {
   return send_all(fd, text.data(), text.size());
 }
+
+/// A connection's response stream: collects one batch of prediction lines
+/// and sends it when the writer flushes at the end of the batch.  A failed
+/// send fails the stream, which PredictionWriter::flush turns into
+/// WriteError.
+class SocketBuf : public std::stringbuf {
+ public:
+  explicit SocketBuf(int fd) : fd_(fd) {}
+
+ protected:
+  int sync() override {
+    const std::string text = str();
+    str(std::string());
+    return send_all(fd_, text) ? 0 : -1;
+  }
+
+ private:
+  int fd_;
+};
 
 int make_tcp_listener(const std::string& host, std::uint16_t port,
                       std::uint16_t& bound_port) {
@@ -156,12 +170,10 @@ struct NetServer::Impl {
 
   std::mutex conns_mutex;
   std::list<Conn> conns;  ///< Stable addresses for the `done` flags.
-  std::mutex pool_mutex;  ///< Guards the lazy worker-pool creation.
   std::atomic<bool> stop_requested{false};
   std::atomic<bool> ran{false};
   std::atomic<std::uint64_t> connections{0};
-  std::atomic<std::uint64_t> rows{0};
-  std::atomic<std::uint64_t> batches{0};
+  ServeCounters served;  ///< Every connection's BatchLoop adds to these.
   std::atomic<std::uint64_t> reloads{0};
   std::atomic<std::uint64_t> rejected_reloads{0};
 
@@ -191,36 +203,27 @@ struct NetServer::Impl {
 
 NetServer::NetServer(io::LoadedPipeline loaded, std::string snapshot_path,
                      NetServerOptions options, runtime::ThreadPoolPtr pool)
-    : options_(std::move(options)),
-      pool_(std::move(pool)),
-      swap_(std::move(loaded), std::move(snapshot_path)),
-      base_snapshot_path_(swap_.load()->source_path()),
-      num_features_(swap_.load()->pipeline().num_features()),
-      classifies_(swap_.load()->pipeline().kind() ==
-                  io::PipelineKind::Classifier),
-      text_input_(swap_.load()->pipeline().input() ==
-                  io::PipelineInput::Text),
+    : NetServer(std::make_unique<LocalPlane>(
+                    std::make_shared<const ServingState>(
+                        std::move(loaded), 0, std::move(snapshot_path)),
+                    options.num_threads, options.mapping, std::move(pool)),
+                nullptr, options) {}
+
+NetServer::NetServer(PredictionPlane& plane, NetServerOptions options)
+    : NetServer(nullptr, &plane, options) {}
+
+NetServer::NetServer(std::unique_ptr<PredictionPlane> owned,
+                     PredictionPlane* plane, const NetServerOptions& options)
+    : options_(options),
+      owned_(std::move(owned)),
+      plane_(plane != nullptr ? plane : owned_.get()),
       impl_(new Impl) {
   try {
     if (options_.batch_size == 0) {
       throw std::invalid_argument("NetServer: batch_size must be > 0");
     }
-    if (text_input_ != (options_.input == RowFormat::Text)) {
-      throw std::invalid_argument(
-          std::string("NetServer: the pipeline takes ") +
-          io::to_string(swap_.load()->pipeline().input()) +
-          " rows but the configured input format disagrees");
-    }
-    if (options_.head == HeadMode::Confidence && !classifies_) {
-      throw std::invalid_argument(
-          "NetServer: confidence heads come from classifiers; regressor "
-          "pipelines emit bands");
-    }
-    if (options_.head == HeadMode::Band && classifies_) {
-      throw std::invalid_argument(
-          "NetServer: band heads come from regressors; classifier "
-          "pipelines emit confidences");
-    }
+    check_plane_fit(*plane_, options_.input, plane_->num_features(),
+                    options_.head, "NetServer");
     if (options_.host.empty() && options_.unix_path.empty()) {
       throw std::invalid_argument(
           "NetServer: no listener configured (need a host or a unix path)");
@@ -241,12 +244,7 @@ NetServer::NetServer(io::LoadedPipeline loaded, std::string snapshot_path,
       unix_fd_ = make_unix_listener(options_.unix_path);
     }
   } catch (...) {
-    for (const int fd : {tcp_fd_, unix_fd_, stop_pipe_[0], stop_pipe_[1],
-                         reload_pipe_[0], reload_pipe_[1]}) {
-      if (fd >= 0) {
-        ::close(fd);
-      }
-    }
+    close_fds();
     delete impl_;
     throw;
   }
@@ -255,16 +253,20 @@ NetServer::NetServer(io::LoadedPipeline loaded, std::string snapshot_path,
 NetServer::~NetServer() {
   stop();
   impl_->join_all();
+  close_fds();
+  if (!options_.unix_path.empty()) {
+    ::unlink(options_.unix_path.c_str());
+  }
+  delete impl_;
+}
+
+void NetServer::close_fds() noexcept {
   for (const int fd : {tcp_fd_, unix_fd_, stop_pipe_[0], stop_pipe_[1],
                        reload_pipe_[0], reload_pipe_[1]}) {
     if (fd >= 0) {
       ::close(fd);
     }
   }
-  if (!options_.unix_path.empty()) {
-    ::unlink(options_.unix_path.c_str());
-  }
-  delete impl_;
 }
 
 void NetServer::stop() {
@@ -277,68 +279,24 @@ void NetServer::stop() {
   }
 }
 
-ServingStatePtr NetServer::reload(const std::string& path) {
+std::uint64_t NetServer::reload(const std::string& path) {
   try {
-    // A delta file is applied in memory against the tracked base; a full
-    // snapshot loads as before and *becomes* the tracked base.  The check
-    // runs before the load so base tracking and loading agree on what the
-    // file was even if it changes on disk mid-reload (the loaded bytes are
-    // authoritative either way: validation rejects torn files).
-    const bool is_delta = io::snapshot_is_delta(path);
-    io::LoadedPipeline fresh = io::load_pipeline_or_delta(
-        path, base_snapshot_path(), io::SnapshotIntegrity::Checksum,
-        options_.mapping);
-    ServingStatePtr state = swap_.swap_to(std::move(fresh), path);
-    if (!is_delta) {
-      const std::lock_guard<std::mutex> lock(adapt_mutex_);
-      base_snapshot_path_ = path;
-    }
+    const std::uint64_t generation = plane_->reload(path);
     impl_->reloads.fetch_add(1, std::memory_order_relaxed);
-    return state;
+    return generation;
   } catch (...) {
     impl_->rejected_reloads.fetch_add(1, std::memory_order_relaxed);
     throw;
   }
 }
 
-std::string NetServer::base_snapshot_path() const {
-  const std::lock_guard<std::mutex> lock(adapt_mutex_);
-  return base_snapshot_path_;
-}
-
-AdaptiveStatePtr NetServer::adaptive_state() {
-  const ServingStatePtr active = swap_.load();
-  const std::lock_guard<std::mutex> lock(adapt_mutex_);
-  if (!adaptive_ || adaptive_->base_state() != active) {
-    adaptive_ = std::make_shared<AdaptiveState>(active);
-  }
-  return adaptive_;
-}
-
-ServingStatePtr NetServer::reload() {
-  return reload(swap_.load()->source_path());
-}
-
-std::uint64_t NetServer::generation() const {
-  if (options_.cluster.generation) {
-    return options_.cluster.generation();
-  }
-  return swap_.generation();
-}
-
-runtime::ThreadPoolPtr NetServer::ensure_worker_pool() {
-  const std::lock_guard<std::mutex> lock(impl_->pool_mutex);
-  if (!pool_) {
-    pool_ = std::make_shared<runtime::ThreadPool>(options_.num_threads);
-  }
-  return pool_;
-}
+std::uint64_t NetServer::generation() const { return plane_->generation(); }
 
 NetServer::Stats NetServer::stats() const noexcept {
   Stats out;
   out.connections = impl_->connections.load(std::memory_order_relaxed);
-  out.rows = impl_->rows.load(std::memory_order_relaxed);
-  out.batches = impl_->batches.load(std::memory_order_relaxed);
+  out.rows = impl_->served.rows.load(std::memory_order_relaxed);
+  out.batches = impl_->served.batches.load(std::memory_order_relaxed);
   out.reloads = impl_->reloads.load(std::memory_order_relaxed);
   out.rejected_reloads =
       impl_->rejected_reloads.load(std::memory_order_relaxed);
@@ -351,26 +309,11 @@ void NetServer::handle_async_reload() {
   char drain[64];
   [[maybe_unused]] const ssize_t drained =
       ::read(reload_pipe_[0], drain, sizeof(drain));
-  if (options_.cluster.reload) {
-    const std::string path =
-        options_.cluster.source ? options_.cluster.source() : std::string{};
-    try {
-      const std::uint64_t gen = options_.cluster.reload(std::string{});
-      impl_->reloads.fetch_add(1, std::memory_order_relaxed);
-      std::cerr << "hdc::serve: reloaded " << path << " (generation " << gen
-                << ")\n";
-    } catch (const std::exception& e) {
-      impl_->rejected_reloads.fetch_add(1, std::memory_order_relaxed);
-      std::cerr << "hdc::serve: reload of " << path
-                << " rejected, old model still serving: " << e.what() << "\n";
-    }
-    return;
-  }
-  const std::string path = swap_.load()->source_path();
+  const std::string path = plane_->source_path();
   try {
-    const ServingStatePtr state = reload();
+    const std::uint64_t generation = reload(path);
     std::cerr << "hdc::serve: reloaded " << path << " (generation "
-              << state->generation() << ")\n";
+              << generation << ")\n";
   } catch (const std::exception& e) {
     std::cerr << "hdc::serve: reload of " << path
               << " rejected, old model still serving: " << e.what() << "\n";
@@ -446,6 +389,8 @@ void NetServer::accept_loop() {
 void NetServer::serve_connection(int fd) {
   try {
     serve_connection_body(fd);
+  } catch (const WriteError&) {
+    // The peer is gone mid-batch: nobody is left to answer.
   } catch (const std::exception& e) {
     // Building the serving machinery (worker pool, batch engines) or a
     // cluster exchange failed: answer *something* instead of silently
@@ -456,202 +401,25 @@ void NetServer::serve_connection(int fd) {
 }
 
 void NetServer::serve_connection_body(int fd) {
-  // Everything the model generation determines, bundled so a hot swap
-  // replaces it wholesale.  `state` is declared first: members are
-  // destroyed in reverse order, so the engines borrowing the mapping die
-  // before the bundle that may hold its last reference.
-  struct Engines {
-    ServingStatePtr state;
-    std::optional<runtime::BatchEncoder> encoder;
-    std::optional<runtime::BatchTextEncoder> text_encoder;
-    std::optional<runtime::BatchClassifier> classifier;
-    std::optional<runtime::BatchRegressor> regressor;
-  };
-  const auto make_engines = [this](ServingStatePtr state) {
-    const runtime::ThreadPoolPtr pool = ensure_worker_pool();
-    auto engines = std::make_unique<Engines>();
-    engines->state = state;
-    if (text_input_) {
-      engines->text_encoder.emplace(
-          state->pipeline().batch_text_encoder(pool));
-    } else {
-      engines->encoder.emplace(state->pipeline().batch_encoder(pool));
-    }
-    if (classifies_) {
-      engines->classifier.emplace(state->pipeline().batch_classifier(pool));
-    } else {
-      engines->regressor.emplace(state->pipeline().batch_regressor(pool));
-    }
-    return engines;
-  };
-
-  RowReader reader(num_features_, options_.input);
-  std::ostringstream response;
-  PredictionWriter writer(response, options_.output, options_.with_latency,
-                          options_.head);
-  // A cluster-backed connection never builds local engines (or the pool):
-  // its batches go through the coordinator.  Local engines are built on the
-  // first data batch, not at accept time, so a control-only connection
-  // needs no pool and a pool-construction failure surfaces as an `!error`
-  // reply exactly where the first prediction was requested.
-  const bool clustered = static_cast<bool>(options_.cluster.predict);
-  std::unique_ptr<Engines> engines;
-  // `!use adapted` routes this connection's data rows through the overlay;
-  // other connections (and the default) keep reading the base — the A/B.
-  bool use_adapted = false;
+  PredictionPlane& plane = *plane_;
+  const bool text_input = options_.input == RowFormat::Text;
+  RowReader reader(plane.num_features(), options_.input);
   // `!adapt` rows ride inside a control line, so they must not advance the
   // data reader's line accounting: separate reader, same format and arity.
-  RowReader adapt_reader(num_features_, options_.input);
-
-  // One of the two row buffers stays empty, per the input mode.
-  std::vector<std::vector<double>> rows;
-  std::vector<std::string> text_rows;
-  std::vector<clock::time_point> admitted;
-  admitted.reserve(options_.batch_size);
-  std::size_t next_row_index = 0;
-  const HeadMode head = options_.head;
-
-  const auto latency_of = [&](std::size_t i) {
-    return microseconds_between(admitted[i], clock::now());
-  };
-  // Emits one already-predicted row in the configured head mode; the four
-  // prediction planes below (cluster, adapted, local classifier/regressor)
-  // all funnel through these.
-  const auto emit_class = [&](std::size_t i, std::size_t label,
-                              double confidence) {
-    if (head == HeadMode::Confidence) {
-      writer.write_class(next_row_index + i, label, confidence,
-                         latency_of(i));
-    } else {
-      writer.write_class(next_row_index + i, label, latency_of(i));
-    }
-  };
-  const auto emit_value = [&](std::size_t i, double prediction,
-                              const Band& band) {
-    if (head == HeadMode::Band) {
-      writer.write_band(next_row_index + i, prediction, band, latency_of(i));
-    } else {
-      writer.write(next_row_index + i, prediction, latency_of(i));
-    }
-  };
-
-  // Predicts the pending rows and sends the formatted batch; false when the
-  // peer is gone.  Each batch re-loads the swap state, so a reload takes
-  // effect at the very next micro-batch boundary on every connection.
-  const auto flush = [&]() -> bool {
-    const std::size_t count = text_input_ ? text_rows.size() : rows.size();
-    if (count == 0) {
-      return true;
-    }
-    if (clustered) {
-      if (head != HeadMode::None) {
-        const HeadBatch batch =
-            text_input_ ? options_.cluster.predict_text_head(text_rows)
-                        : options_.cluster.predict_head(rows);
-        for (std::size_t i = 0; i < batch.values.size(); ++i) {
-          if (classifies_) {
-            emit_class(i, static_cast<std::size_t>(batch.values[i]),
-                       batch.confidences[i]);
-          } else {
-            emit_value(i, batch.values[i], batch.bands[i]);
-          }
-        }
-      } else {
-        const std::vector<double> predictions =
-            text_input_ ? options_.cluster.predict_text(text_rows)
-                        : options_.cluster.predict(rows);
-        for (std::size_t i = 0; i < predictions.size(); ++i) {
-          if (classifies_) {
-            emit_class(i, static_cast<std::size_t>(predictions[i]), 0.0);
-          } else {
-            emit_value(i, predictions[i], Band{});
-          }
-        }
-      }
-    } else if (use_adapted) {
-      // The adapted side of the A/B: row-at-a-time through the overlay.
-      // Feedback is a low-rate refinement stream, so the adapted side
-      // trades batch throughput for the freshest model on every row.
-      const AdaptiveStatePtr adapted = adaptive_state();
-      for (std::size_t i = 0; i < count; ++i) {
-        if (classifies_ && head == HeadMode::Confidence) {
-          const Top2 top2 = text_input_
-                                ? adapted->predict_top2_text(text_rows[i])
-                                : adapted->predict_top2(rows[i]);
-          emit_class(i, static_cast<std::size_t>(top2.best.index),
-                     margin_confidence(top2));
-          continue;
-        }
-        const double prediction = text_input_
-                                      ? adapted->predict_text(text_rows[i])
-                                      : adapted->predict(rows[i]);
-        if (classifies_) {
-          emit_class(i, static_cast<std::size_t>(prediction), 0.0);
-        } else if (head == HeadMode::Band) {
-          emit_value(i, prediction,
-                     text_input_ ? adapted->predict_band_text(text_rows[i])
-                                 : adapted->predict_band(rows[i]));
-        } else {
-          emit_value(i, prediction, Band{});
-        }
-      }
-    } else {
-      const ServingStatePtr latest = swap_.load();
-      if (!engines || latest != engines->state) {
-        engines = make_engines(latest);
-      }
-      const runtime::VectorArena encoded =
-          text_input_ ? engines->text_encoder->encode(text_rows)
-                      : engines->encoder->encode(rows);
-      if (classifies_) {
-        if (head == HeadMode::Confidence) {
-          const std::vector<Top2> top2 =
-              engines->classifier->predict_top2(encoded);
-          for (std::size_t i = 0; i < top2.size(); ++i) {
-            emit_class(i, static_cast<std::size_t>(top2[i].best.index),
-                       margin_confidence(top2[i]));
-          }
-        } else {
-          const std::vector<std::size_t> labels =
-              engines->classifier->predict(encoded);
-          for (std::size_t i = 0; i < labels.size(); ++i) {
-            emit_class(i, labels[i], 0.0);
-          }
-        }
-      } else {
-        const std::vector<double> predictions =
-            engines->regressor->predict(encoded);
-        if (head == HeadMode::Band) {
-          const std::vector<Band> bands =
-              engines->regressor->predict_band(encoded);
-          for (std::size_t i = 0; i < predictions.size(); ++i) {
-            emit_value(i, predictions[i], bands[i]);
-          }
-        } else {
-          for (std::size_t i = 0; i < predictions.size(); ++i) {
-            emit_value(i, predictions[i], Band{});
-          }
-        }
-      }
-    }
-    next_row_index += count;
-    impl_->rows.fetch_add(count, std::memory_order_relaxed);
-    impl_->batches.fetch_add(1, std::memory_order_relaxed);
-    rows.clear();
-    text_rows.clear();
-    admitted.clear();
-    std::string text = response.str();
-    response.str(std::string());
-    return send_all(fd, text);
-  };
+  RowReader adapt_reader(plane.num_features(), options_.input);
+  SocketBuf socket(fd);
+  std::ostream response(&socket);
+  PredictionWriter writer(response, options_.output, options_.with_latency,
+                          options_.head);
+  // Each batch goes through the plane, which picks up a reload at the very
+  // next micro-batch boundary on every connection.
+  BatchLoop loop(plane, reader, writer, options_.batch_size, impl_->served);
 
   // Control replies are ordered after the predictions for every row the
   // client sent first, so `!stats` and `!reload` acks are sequencing
   // points; returns false when the connection should close.
   const auto handle_control = [&](const std::string& line) -> bool {
-    if (!flush()) {
-      return false;
-    }
+    loop.flush();
     const std::size_t space = line.find(' ');
     const std::string cmd = line.substr(0, space);
     const std::string arg =
@@ -664,36 +432,15 @@ void NetServer::serve_connection_body(int fd) {
       const Stats snap = stats();
       reply = "!ok rows=" + std::to_string(snap.rows) +
               " batches=" + std::to_string(snap.batches) +
-              " generation=" + std::to_string(generation());
-      if (options_.cluster.stats_suffix) {
-        reply += options_.cluster.stats_suffix();
-      }
-      reply += "\n";
+              " generation=" + std::to_string(generation()) +
+              plane.stats_suffix() + "\n";
     } else if (cmd == "!reload") {
-      if (options_.cluster.reload) {
-        try {
-          const std::uint64_t gen = options_.cluster.reload(arg);
-          std::string src = arg;
-          if (src.empty()) {
-            src = options_.cluster.source ? options_.cluster.source()
-                                          : std::string{"active"};
-          }
-          impl_->reloads.fetch_add(1, std::memory_order_relaxed);
-          reply = "!ok reloaded generation=" + std::to_string(gen) +
-                  " source=" + src + "\n";
-        } catch (const std::exception& e) {
-          impl_->rejected_reloads.fetch_add(1, std::memory_order_relaxed);
-          reply = std::string("!error reload rejected: ") + e.what() + "\n";
-        }
-      } else {
-        try {
-          const ServingStatePtr state = arg.empty() ? reload() : reload(arg);
-          reply = "!ok reloaded generation=" +
-                  std::to_string(state->generation()) +
-                  " source=" + state->source_path() + "\n";
-        } catch (const std::exception& e) {
-          reply = std::string("!error reload rejected: ") + e.what() + "\n";
-        }
+      const std::string path = arg.empty() ? plane.source_path() : arg;
+      try {
+        reply = "!ok reloaded generation=" + std::to_string(reload(path)) +
+                " source=" + path + "\n";
+      } catch (const std::exception& e) {
+        reply = std::string("!error reload rejected: ") + e.what() + "\n";
       }
     } else if (cmd == "!adapt") {
       const std::size_t cut = arg.find(' ');
@@ -706,24 +453,16 @@ void NetServer::serve_connection_body(int fd) {
             "finite numeric TARGET\n";
       } else {
         try {
-          AdaptOutcome outcome;
-          if (text_input_) {
-            std::string sample;
-            if (!adapt_reader.parse_text_line(arg.substr(cut + 1), sample)) {
-              throw RowError("adapt: ROW must not be blank");
-            }
-            outcome = options_.cluster.adapt_text
-                          ? options_.cluster.adapt_text(target, sample)
-                          : adaptive_state()->adapt_text(sample, target);
-          } else {
-            std::vector<double> sample;
-            if (!adapt_reader.parse_line(arg.substr(cut + 1), sample)) {
-              throw RowError("adapt: ROW must not be blank");
-            }
-            outcome = options_.cluster.adapt
-                          ? options_.cluster.adapt(target, sample)
-                          : adaptive_state()->adapt(sample, target);
+          std::vector<std::vector<double>> rows(1);
+          std::vector<std::string> text_rows(1);
+          const std::string sample = arg.substr(cut + 1);
+          if (text_input ? !adapt_reader.parse_text_line(sample, text_rows[0])
+                         : !adapt_reader.parse_line(sample, rows[0])) {
+            throw RowError("adapt: ROW must not be blank");
           }
+          const RowBatch one =
+              text_input ? RowBatch{{}, text_rows} : RowBatch{rows, {}};
+          const AdaptOutcome outcome = plane.adapt(target, one);
           reply = "!ok adapt predicted=" + format_double(outcome.predicted) +
                   " updated=" + std::to_string(outcome.updated ? 1 : 0) +
                   " feedback=" + std::to_string(outcome.feedback_rows) +
@@ -735,16 +474,13 @@ void NetServer::serve_connection_body(int fd) {
         }
       }
     } else if (cmd == "!use") {
-      if (options_.cluster.predict) {
+      if (!plane.has_adapted_side()) {
         reply =
             "!error use rejected: cluster ranks serve the adapted model as "
             "soon as feedback arrives (no per-connection A/B)\n";
-      } else if (arg == "base") {
-        use_adapted = false;
-        reply = "!ok use base\n";
-      } else if (arg == "adapted") {
-        use_adapted = true;
-        reply = "!ok use adapted\n";
+      } else if (arg == "base" || arg == "adapted") {
+        loop.use_adapted(arg == "adapted");
+        reply = "!ok use " + arg + "\n";
       } else {
         reply = "!error use rejected: expected '!use base' or '!use "
                 "adapted'\n";
@@ -754,11 +490,7 @@ void NetServer::serve_connection_body(int fd) {
         reply = "!error delta rejected: expected '!delta PATH'\n";
       } else {
         try {
-          const std::uint64_t changed =
-              options_.cluster.export_delta
-                  ? options_.cluster.export_delta(arg)
-                  : adaptive_state()->export_delta(base_snapshot_path(), arg);
-          reply = "!ok delta rows=" + std::to_string(changed) +
+          reply = "!ok delta rows=" + std::to_string(plane.export_delta(arg)) +
                   " path=" + arg + "\n";
         } catch (const std::exception& e) {
           reply = std::string("!error delta rejected: ") + e.what() + "\n";
@@ -777,7 +509,6 @@ void NetServer::serve_connection_body(int fd) {
 
   std::string inbuf;
   std::string line;
-  std::vector<double> row;
   char chunk[4096];
   bool open = true;
   while (open) {
@@ -786,24 +517,12 @@ void NetServer::serve_connection_body(int fd) {
     // client ever sends another byte.  flush_interval == 0 degenerates to
     // "flush as soon as the socket has nothing more for us".
     int timeout_ms = -1;
-    if (!admitted.empty()) {
-      if (options_.flush_interval.count() <= 0) {
-        timeout_ms = 0;
-      } else {
-        const clock::time_point deadline =
-            admitted.front() +
-            std::chrono::duration_cast<clock::duration>(
-                options_.flush_interval);
-        const clock::time_point now = clock::now();
-        if (now >= deadline) {
-          timeout_ms = 0;
-        } else {
-          const auto wait =
-              std::chrono::ceil<std::chrono::milliseconds>(deadline - now)
-                  .count();
-          timeout_ms = wait > 1000 ? 1000 : static_cast<int>(wait);
-        }
-      }
+    if (loop.pending()) {
+      const clock::duration left =
+          loop.oldest() + options_.flush_interval - clock::now();
+      const auto ms =
+          std::chrono::ceil<std::chrono::milliseconds>(left).count();
+      timeout_ms = static_cast<int>(std::clamp<long long>(ms, 0, 1000));
     }
     pollfd fds[2] = {{fd, POLLIN, 0}, {stop_pipe_[0], POLLIN, 0}};
     const int ready = ::poll(fds, 2, timeout_ms);
@@ -817,9 +536,7 @@ void NetServer::serve_connection_body(int fd) {
       break;  // Server stopping; drop the connection.
     }
     if (ready == 0 || fds[0].revents == 0) {
-      if (!flush()) {
-        break;  // Deadline flush found the peer gone.
-      }
+      loop.flush();  // The deadline passed (or nothing more is ready).
       continue;
     }
     const ssize_t got = ::recv(fd, chunk, sizeof(chunk), 0);
@@ -833,7 +550,7 @@ void NetServer::serve_connection_body(int fd) {
       // Clean shutdown from the client: answer everything admitted, then
       // close.  (A client that wants its tail predictions does
       // shutdown(SHUT_WR) and keeps reading.)
-      flush();
+      loop.flush();
       break;
     }
     inbuf.append(chunk, static_cast<std::size_t>(got));
@@ -847,30 +564,12 @@ void NetServer::serve_connection_body(int fd) {
         continue;
       }
       try {
-        if (text_input_) {
-          std::string text_row;
-          if (!reader.parse_text_line(line, text_row)) {
-            continue;  // Blank line.
-          }
-          text_rows.push_back(std::move(text_row));
-        } else {
-          if (!reader.parse_line(line, row)) {
-            continue;  // Blank line.
-          }
-          rows.push_back(row);
-        }
+        (void)loop.admit_line(line);
       } catch (const RowError& e) {
-        // Serve every row admitted before the bad one, report, and close
-        // this connection only — the server keeps running.
-        flush();
+        // The loop served every row admitted before the bad one; report,
+        // and close this connection only — the server keeps running.
         send_all(fd, std::string("!error ") + e.what() + "\n");
         open = false;
-        break;
-      }
-      admitted.push_back(clock::now());
-      if (admitted.size() >= options_.batch_size && !flush()) {
-        open = false;
-        break;
       }
     }
     inbuf.erase(0, begin);
@@ -881,30 +580,20 @@ void NetServer::serve_connection_body(int fd) {
 
 struct NetServer::Impl {};
 
-NetServer::NetServer(io::LoadedPipeline loaded, std::string snapshot_path,
-                     NetServerOptions options, runtime::ThreadPoolPtr)
-    : options_(std::move(options)),
-      swap_(std::move(loaded), std::move(snapshot_path)),
-      num_features_(0),
-      classifies_(false),
-      text_input_(false),
-      impl_(nullptr) {
+NetServer::NetServer(io::LoadedPipeline, std::string, NetServerOptions,
+                     runtime::ThreadPoolPtr)
+    : plane_(nullptr), impl_(nullptr) {
+  throw std::runtime_error("NetServer: POSIX sockets are not available");
+}
+NetServer::NetServer(PredictionPlane&, NetServerOptions)
+    : plane_(nullptr), impl_(nullptr) {
   throw std::runtime_error("NetServer: POSIX sockets are not available");
 }
 NetServer::~NetServer() = default;
 void NetServer::run() {}
 void NetServer::stop() {}
-ServingStatePtr NetServer::reload(const std::string&) { return nullptr; }
-ServingStatePtr NetServer::reload() { return nullptr; }
 NetServer::Stats NetServer::stats() const noexcept { return {}; }
-std::uint64_t NetServer::generation() const { return swap_.generation(); }
-std::string NetServer::base_snapshot_path() const { return {}; }
-AdaptiveStatePtr NetServer::adaptive_state() { return nullptr; }
-runtime::ThreadPoolPtr NetServer::ensure_worker_pool() { return nullptr; }
-void NetServer::accept_loop() {}
-void NetServer::serve_connection(int) {}
-void NetServer::serve_connection_body(int) {}
-void NetServer::handle_async_reload() {}
+std::uint64_t NetServer::generation() const { return 0; }
 
 #endif  // !defined(_WIN32)
 

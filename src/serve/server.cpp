@@ -1,214 +1,66 @@
 #include "hdc/serve/server.hpp"
 
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "hdc/serve/batch_loop.hpp"
+#include "hdc/serve/local_plane.hpp"
+
 namespace hdc::serve {
-
-namespace {
-
-using clock = std::chrono::steady_clock;
-
-runtime::ThreadPoolPtr ensure_pool(runtime::ThreadPoolPtr pool,
-                                   std::size_t num_threads) {
-  if (pool) {
-    return pool;
-  }
-  return std::make_shared<runtime::ThreadPool>(num_threads);
-}
-
-double microseconds_between(clock::time_point from, clock::time_point to) {
-  return std::chrono::duration<double, std::micro>(to - from).count();
-}
-
-}  // namespace
 
 Server::Server(io::Pipeline pipeline, ServerOptions options,
                runtime::ThreadPoolPtr pool)
-    : pipeline_(std::move(pipeline)),
-      options_(options),
-      pool_(ensure_pool(std::move(pool), options.num_threads)) {
+    : Server(std::make_unique<LocalPlane>(
+                 std::make_shared<const ServingState>(std::move(pipeline), 0,
+                                                      std::string()),
+                 options.num_threads, io::MappingOptions{}, std::move(pool)),
+             nullptr, options) {}
+
+Server::Server(PredictionPlane& plane, ServerOptions options)
+    : Server(nullptr, &plane, options) {}
+
+Server::Server(std::unique_ptr<PredictionPlane> owned, PredictionPlane* plane,
+               ServerOptions options)
+    : owned_(std::move(owned)),
+      plane_(plane != nullptr ? plane : owned_.get()),
+      options_(options) {
   if (options_.batch_size == 0) {
     throw std::invalid_argument("Server: batch_size must be > 0");
   }
-  if (pipeline_.input() == io::PipelineInput::Text) {
-    text_encoder_.emplace(pipeline_.batch_text_encoder(pool_));
-  } else {
-    encoder_.emplace(pipeline_.batch_encoder(pool_));
-  }
-}
-
-std::vector<double> Server::predict(
-    std::span<const std::vector<double>> rows) const {
-  if (!encoder_) {
-    throw std::logic_error(
-        "Server::predict: text pipeline (use predict_text)");
-  }
-  if (rows.empty()) {
-    return {};
-  }
-  const runtime::VectorArena encoded = encoder_->encode(rows);
-  if (pipeline_.kind() == io::PipelineKind::Classifier) {
-    const std::vector<std::size_t> labels =
-        pipeline_.batch_classifier(pool_).predict(encoded);
-    return {labels.begin(), labels.end()};
-  }
-  return pipeline_.batch_regressor(pool_).predict(encoded);
-}
-
-std::vector<double> Server::predict_text(
-    std::span<const std::string> rows) const {
-  if (!text_encoder_) {
-    throw std::logic_error(
-        "Server::predict_text: numeric pipeline (use predict)");
-  }
-  if (rows.empty()) {
-    return {};
-  }
-  const runtime::VectorArena encoded = text_encoder_->encode(rows);
-  if (pipeline_.kind() == io::PipelineKind::Classifier) {
-    const std::vector<std::size_t> labels =
-        pipeline_.batch_classifier(pool_).predict(encoded);
-    return {labels.begin(), labels.end()};
-  }
-  return pipeline_.batch_regressor(pool_).predict(encoded);
 }
 
 Server::Stats Server::run(RowReader& reader, PredictionWriter& writer) const {
-  const bool text = pipeline_.input() == io::PipelineInput::Text;
-  if (text != (reader.format() == RowFormat::Text)) {
-    throw std::invalid_argument(
-        std::string("Server::run: the pipeline takes ") +
-        io::to_string(pipeline_.input()) +
-        " rows but the reader's format disagrees");
-  }
-  if (!text && reader.num_features() != pipeline_.num_features()) {
-    throw std::invalid_argument(
-        "Server::run: reader arity " + std::to_string(reader.num_features()) +
-        " disagrees with the pipeline's " +
-        std::to_string(pipeline_.num_features()) + " features");
-  }
-  const bool classifies = pipeline_.kind() == io::PipelineKind::Classifier;
-  const HeadMode head = writer.head();
-  if (head == HeadMode::Confidence && !classifies) {
-    throw std::invalid_argument(
-        "Server::run: confidence heads come from classifiers; regressor "
-        "pipelines emit bands");
-  }
-  if (head == HeadMode::Band && classifies) {
-    throw std::invalid_argument(
-        "Server::run: band heads come from regressors; classifier "
-        "pipelines emit confidences");
-  }
-  // Per-kind engines constructed once per run, not per micro-batch.
-  std::optional<runtime::BatchClassifier> classifier;
-  std::optional<runtime::BatchRegressor> regressor;
-  if (classifies) {
-    classifier.emplace(pipeline_.batch_classifier(pool_));
-  } else {
-    regressor.emplace(pipeline_.batch_regressor(pool_));
-  }
-
-  Stats stats;
+  using clock = BatchLoop::clock;
+  ServeCounters counters;
+  BatchLoop loop(*plane_, reader, writer, options_.batch_size, counters);
   const clock::time_point start = clock::now();
-  // One of the two row buffers stays empty, per the input mode.
-  std::vector<std::vector<double>> rows;
-  std::vector<std::string> text_rows;
-  std::vector<clock::time_point> admitted;
-  admitted.reserve(options_.batch_size);
-  std::size_t next_row_index = 0;
-
-  const auto flush = [&] {
-    const std::size_t count = text ? text_rows.size() : rows.size();
-    if (count == 0) {
-      return;
-    }
-    const runtime::VectorArena encoded =
-        text ? text_encoder_->encode(text_rows) : encoder_->encode(rows);
-    if (classifies) {
-      if (head == HeadMode::Confidence) {
-        const std::vector<Top2> top2 = classifier->predict_top2(encoded);
-        for (std::size_t i = 0; i < top2.size(); ++i) {
-          writer.write_class(next_row_index + i,
-                             static_cast<std::size_t>(top2[i].best.index),
-                             margin_confidence(top2[i]),
-                             microseconds_between(admitted[i], clock::now()));
-        }
-      } else {
-        const std::vector<std::size_t> labels = classifier->predict(encoded);
-        for (std::size_t i = 0; i < labels.size(); ++i) {
-          writer.write_class(next_row_index + i, labels[i],
-                             microseconds_between(admitted[i], clock::now()));
-        }
-      }
-    } else {
-      const std::vector<double> predictions = regressor->predict(encoded);
-      if (head == HeadMode::Band) {
-        const std::vector<Band> bands = regressor->predict_band(encoded);
-        for (std::size_t i = 0; i < predictions.size(); ++i) {
-          writer.write_band(next_row_index + i, predictions[i], bands[i],
-                            microseconds_between(admitted[i], clock::now()));
-        }
-      } else {
-        for (std::size_t i = 0; i < predictions.size(); ++i) {
-          writer.write(next_row_index + i, predictions[i],
-                       microseconds_between(admitted[i], clock::now()));
-        }
-      }
-    }
-    writer.flush();
-    next_row_index += count;
-    stats.rows += count;
-    ++stats.batches;
-    rows.clear();
-    text_rows.clear();
-    admitted.clear();
-  };
-
-  std::vector<double> row;
-  std::string text_row;
   try {
     while (true) {
       // Bounded-staleness guard: with a flush interval configured, pending
       // rows are flushed *before* a read that may block — either their
       // deadline has already passed, or the stream has nothing buffered
-      // and the next getline could stall unboundedly (the PR-5 latency
-      // bug: the timer was only ever evaluated after a new row arrived,
-      // so admitted rows waited as long as the input paused).
-      if (!admitted.empty() && options_.flush_interval.count() > 0) {
-        const bool deadline_passed =
-            clock::now() - admitted.front() >= options_.flush_interval;
-        if (deadline_passed || reader.may_block()) {
-          flush();
-        }
+      // and the next getline could stall unboundedly.
+      if (loop.pending() && options_.flush_interval.count() > 0 &&
+          (clock::now() - loop.oldest() >= options_.flush_interval ||
+           reader.may_block())) {
+        loop.flush();
       }
-      if (text) {
-        if (!reader.next_text(text_row)) {
-          break;
-        }
-        text_rows.push_back(text_row);
-      } else {
-        if (!reader.next(row)) {
-          break;
-        }
-        rows.push_back(row);
-      }
-      admitted.push_back(clock::now());
-      if (admitted.size() >= options_.batch_size) {
-        flush();
+      if (!loop.read_next()) {
+        break;
       }
     }
-  } catch (const RowError&) {
-    // Serve every row that parsed before the bad one, then surface it.
-    flush();
+    loop.flush();
+  } catch (PlaneError& error) {
+    // Every batch before the failed one is already written and flushed;
+    // tell the consumer exactly where the stream stopped.
+    error.append(" (at input line " + std::to_string(reader.line_number()) +
+                 "; " + std::to_string(loop.rows()) +
+                 " rows already answered)");
     throw;
   }
-  flush();
-  stats.seconds =
-      std::chrono::duration<double>(clock::now() - start).count();
-  return stats;
+  return {counters.rows.load(), counters.batches.load(),
+          std::chrono::duration<double>(clock::now() - start).count()};
 }
 
 }  // namespace hdc::serve

@@ -172,8 +172,10 @@ TEST(FaultInjectionTest, StreamDrainsAdmittedRowsAndReportsTheLine) {
   hdc::serve::RowReader reader(in, 3);
   hdc::serve::PredictionWriter writer(out,
                                       hdc::serve::OutputFormat::Plain);
+  hdc::serve::ServerOptions options;
+  options.batch_size = 4;
   try {
-    (void)server.serve_stream(reader, writer, 4);
+    (void)hdc::serve::Server(server, options).run(reader, writer);
     FAIL() << "stream over a killed rank did not throw";
   } catch (const ClusterError& e) {
     const std::string what = e.what();

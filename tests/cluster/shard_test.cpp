@@ -101,16 +101,36 @@ TEST(ProtocolTest, FieldCodecsRoundTrip) {
 
 TEST(ProtocolTest, PredictRequestLayout) {
   const double rows[] = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
-  const std::string req = hdc::cluster::encode_predict_request(rows, 2, 3);
-  ASSERT_EQ(req.size(), 1 + 8 + 8 + 6 * 8);
-  EXPECT_EQ(static_cast<WorkerOp>(req[0]), WorkerOp::Predict);
-  EXPECT_EQ(hdc::cluster::get_u64(req, 1), 2u);
-  EXPECT_EQ(hdc::cluster::get_u64(req, 9), 3u);
-  EXPECT_EQ(hdc::cluster::get_f64(req, 17), 1.0);
-  EXPECT_EQ(hdc::cluster::get_f64(req, 17 + 5 * 8), 6.0);
+  const std::string req =
+      hdc::cluster::encode_predict2_request(rows, 2, 3, false);
+  ASSERT_EQ(req.size(), 1 + 1 + 8 + 8 + 6 * 8);
+  EXPECT_EQ(static_cast<WorkerOp>(req[0]), WorkerOp::Predict2);
+  EXPECT_EQ(req[1], 0);  // Flags: numeric rows, no head.
+  EXPECT_EQ(hdc::cluster::get_u64(req, 2), 2u);
+  EXPECT_EQ(hdc::cluster::get_u64(req, 10), 3u);
+  EXPECT_EQ(hdc::cluster::get_f64(req, 18), 1.0);
+  EXPECT_EQ(hdc::cluster::get_f64(req, 18 + 5 * 8), 6.0);
   // Zero rows is a legal request (a rank can own an empty slice).
-  EXPECT_EQ(hdc::cluster::encode_predict_request(nullptr, 0, 3).size(),
-            std::size_t{17});
+  EXPECT_EQ(hdc::cluster::encode_predict2_request(nullptr, 0, 3, false).size(),
+            std::size_t{18});
+}
+
+TEST(ProtocolTest, AdaptRequestLayout) {
+  const double features[] = {1.0, 2.0, 3.0};
+  const std::string numeric =
+      hdc::cluster::encode_adapt_request(4.0, features, 3);
+  ASSERT_EQ(numeric.size(), 1 + 1 + 8 + 8 + 3 * 8);
+  EXPECT_EQ(static_cast<WorkerOp>(numeric[0]), WorkerOp::Adapt);
+  EXPECT_EQ(numeric[1], 0);  // Flags: numeric row.
+  EXPECT_EQ(hdc::cluster::get_f64(numeric, 2), 4.0);
+  EXPECT_EQ(hdc::cluster::get_u64(numeric, 10), 3u);
+  EXPECT_EQ(hdc::cluster::get_f64(numeric, 18 + 2 * 8), 3.0);
+  const std::string text = hdc::cluster::encode_adapt_request(1.0, "hola");
+  ASSERT_EQ(text.size(), 1 + 1 + 8 + 8 + 4);
+  EXPECT_EQ(static_cast<WorkerOp>(text[0]), WorkerOp::Adapt);
+  EXPECT_EQ(text[1], static_cast<char>(hdc::cluster::kPredictFlagText));
+  EXPECT_EQ(hdc::cluster::get_u64(text, 10), 4u);
+  EXPECT_EQ(text.substr(18), "hola");
 }
 
 TEST(WorkerTest, ConfigValidation) {
@@ -151,13 +171,17 @@ TEST(WorkerTest, DispatcherAnswersEveryOpcodeWithoutThrowing) {
   const std::string unknown = worker.handle(std::string(1, '\x7f'));
   EXPECT_EQ(static_cast<std::uint8_t>(unknown[0]), kWorkerErr);
   const std::string arity = worker.handle(
-      hdc::cluster::encode_predict_request(nullptr, 0, 99));
+      hdc::cluster::encode_predict2_request(nullptr, 0, 99, false));
   EXPECT_EQ(static_cast<std::uint8_t>(arity[0]), kWorkerErr);
   EXPECT_NE(std::string(arity.substr(1)).find("arity"), std::string::npos);
   std::string truncated =
-      hdc::cluster::encode_predict_request(nullptr, 0, 3);
+      hdc::cluster::encode_predict2_request(nullptr, 0, 3, false);
   hdc::cluster::put_u64(truncated, 5);  // Trailing garbage: size mismatch.
   EXPECT_EQ(static_cast<std::uint8_t>(worker.handle(truncated)[0]),
+            kWorkerErr);
+  // A text adapt frame cannot feed a numeric pipeline.
+  EXPECT_EQ(static_cast<std::uint8_t>(
+                worker.handle(hdc::cluster::encode_adapt_request(1.0, "a"))[0]),
             kWorkerErr);
 
   // A good predict bumps the counters the stats response reports.
@@ -167,7 +191,8 @@ TEST(WorkerTest, DispatcherAnswersEveryOpcodeWithoutThrowing) {
     flat.insert(flat.end(), row.begin(), row.end());
   }
   const std::string ok = worker.handle(
-      hdc::cluster::encode_predict_request(flat.data(), rows.size(), 3));
+      hdc::cluster::encode_predict2_request(flat.data(), rows.size(), 3,
+                                            false));
   ASSERT_EQ(static_cast<std::uint8_t>(ok[0]), kWorkerOk);
   EXPECT_EQ(hdc::cluster::get_u64(ok, 1), 1u);  // generation
   EXPECT_EQ(hdc::cluster::get_u64(ok, 9), rows.size());
@@ -220,8 +245,8 @@ TEST(WorkerTest, ReloadBumpsGenerationAndRejectsBadSnapshots) {
     flat.insert(flat.end(), row.begin(), row.end());
   }
   EXPECT_EQ(static_cast<std::uint8_t>(
-                worker.handle(hdc::cluster::encode_predict_request(
-                    flat.data(), rows.size(), 3))[0]),
+                worker.handle(hdc::cluster::encode_predict2_request(
+                    flat.data(), rows.size(), 3, false))[0]),
             kWorkerOk);
 }
 
@@ -243,7 +268,8 @@ TEST(WorkerTest, EmptyClassSliceReportsTheSentinel) {
     flat.insert(flat.end(), row.begin(), row.end());
   }
   const std::string response = worker.handle(
-      hdc::cluster::encode_predict_request(flat.data(), rows.size(), 4));
+      hdc::cluster::encode_predict2_request(flat.data(), rows.size(), 4,
+                                            false));
   ASSERT_EQ(static_cast<std::uint8_t>(response[0]), kWorkerOk);
   ASSERT_EQ(response.size(), 17 + rows.size() * 16);
   for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -2,7 +2,7 @@
 // caller ever sees must be attributable to exactly one model generation —
 // batches are generation-atomic through interleaved reloads, through
 // concurrent predict/reload hammering, and end to end through the socket
-// front end's `!reload` (the satellite-3 gate).
+// front end's `!reload`.
 
 #ifndef _WIN32
 
@@ -28,7 +28,6 @@ namespace {
 
 using hdc::cluster::ClusterOptions;
 using hdc::cluster::CommBackend;
-using hdc::cluster::RankStats;
 using hdc::cluster::ShardedServer;
 using hdc::cluster::ShardScheme;
 using hdc::serve::NetServer;
@@ -222,26 +221,7 @@ TEST(ShardedReloadTest, SocketFrontEndHotSwapsTheWholeCluster) {
   NetServerOptions options;
   options.port = 0;
   options.batch_size = 4;
-  options.cluster.predict =
-      [&sharded](std::span<const std::vector<double>> batch) {
-        return sharded.predict(batch).predictions;
-      };
-  options.cluster.reload = [&sharded](const std::string& snapshot) {
-    return sharded.reload(snapshot);
-  };
-  options.cluster.generation = [&sharded] { return sharded.generation(); };
-  options.cluster.source = [&sharded] { return sharded.source_path(); };
-  options.cluster.stats_suffix = [&sharded] {
-    std::string out;
-    for (const RankStats& rank : sharded.stats()) {
-      out += " rank" + std::to_string(rank.rank) +
-             "=rows:" + std::to_string(rank.rows) +
-             ",batches:" + std::to_string(rank.batches) +
-             ",gen:" + std::to_string(rank.generation);
-    }
-    return out;
-  };
-  NetServer server(hdc::io::load_pipeline(a), a, std::move(options));
+  NetServer server(sharded, std::move(options));
   std::thread runner([&server] { server.run(); });
 
   {

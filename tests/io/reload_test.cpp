@@ -111,8 +111,11 @@ TEST(ReloadTest, RejectsMissingFileAndPipelinelessSnapshot) {
   // A valid snapshot that holds sections but no pipeline head is not
   // servable and must be rejected by the same single entry point.
   const std::string path = temp_file("headless.hdcs");
+  // add_basis keeps a span into the basis until write_file, so the basis
+  // must outlive the writer's pending sections.
+  const hdc::Basis basis = fixtures::make_basis(hdc::BasisKind::Circular);
   SnapshotWriter writer;
-  writer.add_basis(fixtures::make_basis(hdc::BasisKind::Circular));
+  writer.add_basis(basis);
   writer.write_file(path);
   EXPECT_THROW((void)hdc::io::load_pipeline(path), SnapshotError);
   std::filesystem::remove(path);

@@ -236,6 +236,10 @@ std::vector<std::vector<std::uint64_t>> materialize_all(
         }
         break;
       }
+      case hdc::io::SectionType::DeltaPatch:
+        // A patch is only ever applied onto its base; its words are still
+        // compared below.
+        break;
     }
     const auto words = snapshot.section_words(i);
     payloads.emplace_back(words.begin(), words.end());

@@ -26,7 +26,9 @@ using hdc::io::MappedSnapshot;
 using hdc::io::Pipeline;
 using hdc::io::SnapshotIntegrity;
 using hdc::io::SnapshotWriter;
+using hdc::serve::HeadMode;
 using hdc::serve::OutputFormat;
+using hdc::serve::Predictions;
 using hdc::serve::PredictionWriter;
 using hdc::serve::RowFormat;
 using hdc::serve::RowReader;
@@ -119,7 +121,7 @@ TEST(ServerTest, ServesBitExactAcrossBatchSizesThreadsAndIntegrity) {
     const Server server(Pipeline::restore(snapshot), options);
     std::istringstream in(csv);
     std::ostringstream out;
-    RowReader reader(in, server.pipeline().num_features());
+    RowReader reader(in, server.plane().num_features());
     PredictionWriter writer(out, OutputFormat::Plain);
     const Server::Stats stats = server.run(reader, writer);
     EXPECT_EQ(stats.rows, rows.size());
@@ -134,12 +136,14 @@ TEST(ServerTest, PredictMatchesPerRowOracle) {
   const Pipeline pipeline = Pipeline::restore(snapshot);
   const Server server(pipeline, {});
   const auto rows = beijing_rows(17);
-  const std::vector<double> batched = server.predict(rows);
-  ASSERT_EQ(batched.size(), rows.size());
+  Predictions batched;
+  server.plane().predict({rows, {}}, HeadMode::None, false, batched);
+  ASSERT_EQ(batched.values.size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(batched[i], pipeline.regress(rows[i])) << "row " << i;
+    EXPECT_EQ(batched.values[i], pipeline.regress(rows[i])) << "row " << i;
   }
-  EXPECT_TRUE(server.predict({}).empty());
+  server.plane().predict({}, HeadMode::None, false, batched);
+  EXPECT_TRUE(batched.values.empty());
 }
 
 TEST(ServerTest, ClassifierPipelineWritesIntegerLabels) {
@@ -239,12 +243,13 @@ TEST(ServerTest, TextPipelineServesRawLinesBitExact) {
     EXPECT_FALSE(std::getline(lines, line));
   }
 
-  // predict_text agrees with the per-row oracle too.
+  // One text batch through the plane agrees with the per-row oracle too.
   const Server server(Pipeline::restore(snapshot), {});
-  const std::vector<double> batched = server.predict_text(rows);
-  ASSERT_EQ(batched.size(), rows.size());
+  Predictions batched;
+  server.plane().predict({{}, rows}, HeadMode::None, false, batched);
+  ASSERT_EQ(batched.values.size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(batched[i],
+    EXPECT_EQ(batched.values[i],
               static_cast<double>(oracle.classify_text(rows[i])))
         << "row " << i;
   }
@@ -268,7 +273,9 @@ TEST(ServerTest, ReaderFormatMustMatchThePipelineInputMode) {
   EXPECT_THROW((void)numeric_server.run(text_reader, writer),
                std::invalid_argument);
   const std::vector<std::string> text_rows{"abc"};
-  EXPECT_THROW((void)numeric_server.predict_text(text_rows),
+  Predictions batched;
+  EXPECT_THROW(numeric_server.plane().predict({{}, text_rows},
+                                              HeadMode::None, false, batched),
                std::logic_error);
 }
 

@@ -55,10 +55,8 @@
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #if !defined(_WIN32)
 #include <unistd.h>
@@ -483,133 +481,6 @@ std::unique_ptr<hdc::cluster::ShardedServer> make_sharded(
   return sharded;
 }
 
-/// The persistent socket front end: `hdcgen serve SNAPSHOT --listen/--unix`
-/// (docs/serving.md).  Blocks until SIGINT/SIGTERM.
-int cmd_serve_net(const std::string& path,
-                  hdc::serve::NetServerOptions options,
-                  hdc::io::SnapshotIntegrity integrity,
-                  std::unique_ptr<hdc::cluster::ShardedServer> sharded,
-                  bool want_head) {
-#if defined(_WIN32)
-  (void)path;
-  (void)options;
-  (void)integrity;
-  (void)sharded;
-  (void)want_head;
-  std::fputs("hdcgen serve: sockets need a POSIX host\n", stderr);
-  return 1;
-#else
-  if (sharded) {
-    // The socket front end fans in/out of the cluster transparently: data
-    // batches, !reload and !stats all route through the coordinator.  The
-    // raw pointer is safe — `sharded` (a parameter) outlives the local
-    // `server` below.
-    hdc::cluster::ShardedServer* srv = sharded.get();
-    options.cluster.predict =
-        [srv](std::span<const std::vector<double>> rows) {
-          return srv->predict(rows).predictions;
-        };
-    options.cluster.predict_text =
-        [srv](std::span<const std::string> rows) {
-          return srv->predict_text(rows).predictions;
-        };
-    const auto to_head_batch =
-        [](hdc::cluster::ShardedServer::HeadBatchResult batch) {
-          hdc::serve::HeadBatch out;
-          out.values = std::move(batch.values);
-          out.confidences = std::move(batch.confidences);
-          out.bands = std::move(batch.bands);
-          return out;
-        };
-    options.cluster.predict_head =
-        [srv, to_head_batch](std::span<const std::vector<double>> rows) {
-          return to_head_batch(srv->predict_head(rows));
-        };
-    options.cluster.predict_text_head =
-        [srv, to_head_batch](std::span<const std::string> rows) {
-          return to_head_batch(srv->predict_text_head(rows));
-        };
-    options.cluster.reload = [srv](const std::string& snapshot) {
-      return srv->reload(snapshot);
-    };
-    options.cluster.generation = [srv] { return srv->generation(); };
-    options.cluster.source = [srv] { return srv->source_path(); };
-    options.cluster.adapt = [srv](double target,
-                                  std::span<const double> features) {
-      return srv->adapt(target, features);
-    };
-    options.cluster.adapt_text = [srv](double target,
-                                       std::string_view text) {
-      return srv->adapt_text(target, text);
-    };
-    options.cluster.export_delta = [srv](const std::string& out_path) {
-      return srv->export_delta(out_path);
-    };
-    options.cluster.stats_suffix = [srv] {
-      std::string out;
-      for (const hdc::cluster::RankStats& rank : srv->stats()) {
-        out += " rank" + std::to_string(rank.rank) +
-               "=rows:" + std::to_string(rank.rows) +
-               ",batches:" + std::to_string(rank.batches) +
-               ",gen:" + std::to_string(rank.generation);
-      }
-      return out;
-    };
-  }
-  hdc::io::LoadedPipeline loaded =
-      hdc::io::load_pipeline(path, integrity, options.mapping);
-  if (want_head) {
-    options.head =
-        loaded.pipeline.kind() == hdc::io::PipelineKind::Classifier
-            ? hdc::serve::HeadMode::Confidence
-            : hdc::serve::HeadMode::Band;
-  }
-  const char* kind = hdc::io::to_string(loaded.pipeline.kind());
-  const std::size_t num_features = loaded.pipeline.num_features();
-  const std::size_t dimension = loaded.pipeline.dimension();
-
-  hdc::serve::NetServer server(std::move(loaded), path, options);
-  // Scripts parse these lines to learn the ephemeral port.
-  if (!options.host.empty()) {
-    std::fprintf(stderr, "listening on %s:%u\n", options.host.c_str(),
-                 static_cast<unsigned>(server.port()));
-  }
-  if (!options.unix_path.empty()) {
-    std::fprintf(stderr, "listening on unix:%s\n",
-                 options.unix_path.c_str());
-  }
-  std::fprintf(stderr,
-               "serving %s pipeline: d = %zu, %zu features/row, "
-               "kernels = %s (SIGHUP reloads %s)\n",
-               kind, dimension, num_features,
-               hdc::bits::active_kernels().name, path.c_str());
-
-  g_reload_notify_fd = server.reload_notify_fd();
-  g_net_server = &server;
-  std::signal(SIGHUP, hdcgen_on_sighup);
-  std::signal(SIGINT, hdcgen_on_terminate);
-  std::signal(SIGTERM, hdcgen_on_terminate);
-  server.run();
-  std::signal(SIGHUP, SIG_DFL);
-  std::signal(SIGINT, SIG_DFL);
-  std::signal(SIGTERM, SIG_DFL);
-  g_net_server = nullptr;
-  g_reload_notify_fd = -1;
-
-  const hdc::serve::NetServer::Stats stats = server.stats();
-  std::fprintf(stderr,
-               "served %llu rows in %llu batches over %llu connections, "
-               "%llu reloads (%llu rejected), final generation %llu\n",
-               static_cast<unsigned long long>(stats.rows),
-               static_cast<unsigned long long>(stats.batches),
-               static_cast<unsigned long long>(stats.connections),
-               static_cast<unsigned long long>(stats.reloads),
-               static_cast<unsigned long long>(stats.rejected_reloads),
-               static_cast<unsigned long long>(server.generation()));
-  return 0;
-#endif
-}
-
 /// Streams stdin feature rows through a snapshot pipeline to stdout, or
 /// serves sockets with --listen/--unix — the `hdcgen serve` front end over
 /// hdc::serve (docs/serving.md).
@@ -638,11 +509,46 @@ int cmd_serve(const FlagParser& flags, const std::string& path) {
   }
   hdc::io::MappingOptions mapping;
   mapping.lock_memory = flags.has("--mlock");
-  const bool want_head = flags.has("--head");
 
   // Cluster flags fork their workers here, before any thread pool exists.
   std::unique_ptr<hdc::cluster::ShardedServer> sharded =
       make_sharded(flags, path, integrity, mapping);
+  // Every front end below predicts through one plane: the coordinator, or
+  // the in-process engines over the mapped snapshot.
+  std::unique_ptr<hdc::serve::LocalPlane> local;
+  bool locked = false;
+  if (!sharded) {
+    hdc::io::LoadedPipeline loaded =
+        hdc::io::load_pipeline(path, integrity, mapping);
+    locked = loaded.snapshot.locked();
+    local = std::make_unique<hdc::serve::LocalPlane>(
+        std::make_shared<const hdc::serve::ServingState>(std::move(loaded), 0,
+                                                         path),
+        flags.count_or("--threads", 0, 0), mapping);
+  }
+  hdc::serve::PredictionPlane& plane =
+      sharded ? static_cast<hdc::serve::PredictionPlane&>(*sharded) : *local;
+  // Gate the input format here so the operator sees the flag to change,
+  // not a reader internal.
+  const bool wants_text = plane.input() == hdc::io::PipelineInput::Text;
+  if (wants_text != (input == hdc::serve::RowFormat::Text)) {
+    throw std::invalid_argument(
+        wants_text
+            ? "this pipeline reads raw text samples: pass --input text"
+            : "--input text requires a text pipeline; this snapshot "
+              "reads numeric rows");
+  }
+  const hdc::serve::HeadMode head =
+      !flags.has("--head") ? hdc::serve::HeadMode::None
+      : plane.kind() == hdc::io::PipelineKind::Classifier
+          ? hdc::serve::HeadMode::Confidence
+          : hdc::serve::HeadMode::Band;
+  const std::size_t batch = flags.count_or("--batch", 1, 64);
+  std::optional<std::chrono::microseconds> flush_interval;
+  if (flags.value("--flush-us")) {
+    flush_interval = std::chrono::microseconds(
+        static_cast<long long>(flags.count("--flush-us", 0)));
+  }
 
   const auto listen = flags.value("--listen");
   const auto unix_path = flags.value("--unix");
@@ -665,116 +571,80 @@ int cmd_serve(const FlagParser& flags, const std::string& path) {
     if (unix_path) {
       options.unix_path = *unix_path;
     }
-    options.batch_size =
-        flags.count_or("--batch", 1, options.batch_size);
-    if (flags.value("--flush-us")) {
-      options.flush_interval = std::chrono::microseconds(
-          static_cast<long long>(flags.count("--flush-us", 0)));
+    options.batch_size = batch;
+    if (flush_interval) {
+      options.flush_interval = *flush_interval;
     }
-    options.num_threads =
-        flags.count_or("--threads", 0, options.num_threads);
     options.max_connections =
         flags.count_or("--max-conns", 1, options.max_connections);
     options.input = input;
     options.output = output;
     options.with_latency = flags.has("--latency");
-    options.mapping = mapping;
-    return cmd_serve_net(path, std::move(options), integrity,
-                         std::move(sharded), want_head);
-  }
+    options.head = head;
+#if defined(_WIN32)
+    std::fputs("hdcgen serve: sockets need a POSIX host\n", stderr);
+    return 1;
+#else
+    hdc::serve::NetServer server(plane, options);
+    // Scripts parse these lines to learn the ephemeral port.
+    if (!options.host.empty()) {
+      std::fprintf(stderr, "listening on %s:%u\n", options.host.c_str(),
+                   static_cast<unsigned>(server.port()));
+    }
+    if (!options.unix_path.empty()) {
+      std::fprintf(stderr, "listening on unix:%s\n",
+                   options.unix_path.c_str());
+    }
+    std::fprintf(stderr,
+                 "serving %s pipeline: d = %zu, %zu features/row, "
+                 "kernels = %s (SIGHUP reloads %s)\n",
+                 hdc::io::to_string(plane.kind()), plane.dimension(),
+                 plane.num_features(), hdc::bits::active_kernels().name,
+                 path.c_str());
 
-  if (sharded) {
-    // Sharded stdin front end: rows stream through the coordinator; a dead
-    // worker drains the admitted rows and exits with a line-numbered
-    // diagnostic instead of emitting a torn batch.
-    const hdc::serve::HeadMode head =
-        !want_head ? hdc::serve::HeadMode::None
-        : sharded->kind() == hdc::io::PipelineKind::Classifier
-            ? hdc::serve::HeadMode::Confidence
-            : hdc::serve::HeadMode::Band;
-    // Text pipelines carry no numeric features; gate the reader format
-    // here so the operator sees the flag to change, not a reader internal.
-    const bool wants_text = sharded->num_features() == 0;
-    if (wants_text != (input == hdc::serve::RowFormat::Text)) {
-      throw std::invalid_argument(
-          wants_text ? "this pipeline reads raw text samples: pass "
-                       "--input text"
-                     : "--input text requires a text pipeline; this "
-                       "snapshot reads numeric rows");
-    }
-    hdc::serve::RowReader reader(std::cin, sharded->num_features(), input);
-    hdc::serve::PredictionWriter writer(std::cout, output,
-                                        flags.has("--latency"), head);
-    const std::size_t batch = flags.count_or("--batch", 1, 64);
-    const char* kind = hdc::io::to_string(sharded->kind());
-    const auto start = std::chrono::steady_clock::now();
-    hdc::cluster::ShardedServer::StreamStats stats;
-    try {
-      stats = sharded->serve_stream(reader, writer, batch);
-    } catch (const hdc::cluster::ClusterError& error) {
-      std::fprintf(stderr, "hdcgen serve: %s\n", error.what());
-      return 1;
-    } catch (const hdc::serve::WriteError& error) {
-      std::fprintf(stderr,
-                   "hdcgen serve: downstream closed after %zu rows: %s\n",
-                   writer.rows_written(), error.what());
-      return 1;
-    }
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    std::fprintf(
-        stderr,
-        "served %llu rows in %llu batches: %s pipeline, d = %zu, "
-        "%zu features/row, %.0f rows/s, %zu replicas (%s, shard=%s), "
-        "kernels = %s\n",
-        static_cast<unsigned long long>(stats.rows),
-        static_cast<unsigned long long>(stats.batches), kind,
-        sharded->dimension(), sharded->num_features(),
-        seconds > 0.0 ? static_cast<double>(stats.rows) / seconds : 0.0,
-        sharded->replicas(), sharded->backend(),
-        to_string(sharded->scheme()), hdc::bits::active_kernels().name);
+    g_reload_notify_fd = server.reload_notify_fd();
+    g_net_server = &server;
+    std::signal(SIGHUP, hdcgen_on_sighup);
+    std::signal(SIGINT, hdcgen_on_terminate);
+    std::signal(SIGTERM, hdcgen_on_terminate);
+    server.run();
+    std::signal(SIGHUP, SIG_DFL);
+    std::signal(SIGINT, SIG_DFL);
+    std::signal(SIGTERM, SIG_DFL);
+    g_net_server = nullptr;
+    g_reload_notify_fd = -1;
+
+    const hdc::serve::NetServer::Stats stats = server.stats();
+    std::fprintf(stderr,
+                 "served %llu rows in %llu batches over %llu connections, "
+                 "%llu reloads (%llu rejected), final generation %llu\n",
+                 static_cast<unsigned long long>(stats.rows),
+                 static_cast<unsigned long long>(stats.batches),
+                 static_cast<unsigned long long>(stats.connections),
+                 static_cast<unsigned long long>(stats.reloads),
+                 static_cast<unsigned long long>(stats.rejected_reloads),
+                 static_cast<unsigned long long>(server.generation()));
     return 0;
+#endif
   }
 
-  hdc::serve::ServerOptions options;
-  options.batch_size = flags.count_or("--batch", 1, options.batch_size);
-  if (flags.value("--flush-us")) {
-    options.flush_interval = std::chrono::microseconds(
-        static_cast<long long>(flags.count("--flush-us", 0)));
-  }
-  options.num_threads = flags.count_or("--threads", 0, options.num_threads);
-
-  // The mapping must outlive the Server: the restored pipeline borrows it.
-  const auto snapshot = hdc::io::MappedSnapshot::open(path, integrity,
-                                                      mapping);
-  hdc::io::Pipeline pipeline = hdc::io::Pipeline::restore(snapshot);
-  const char* kind = hdc::io::to_string(pipeline.kind());
-  const std::size_t num_features = pipeline.num_features();
-  const std::size_t dimension = pipeline.dimension();
-  const hdc::serve::HeadMode head =
-      !want_head ? hdc::serve::HeadMode::None
-      : pipeline.kind() == hdc::io::PipelineKind::Classifier
-          ? hdc::serve::HeadMode::Confidence
-          : hdc::serve::HeadMode::Band;
-
-  // Same gate as the sharded path: name the flag, not a reader internal.
-  const bool wants_text = pipeline.input() == hdc::io::PipelineInput::Text;
-  if (wants_text != (input == hdc::serve::RowFormat::Text)) {
-    throw std::invalid_argument(
-        wants_text
-            ? "this pipeline reads raw text samples: pass --input text"
-            : "--input text requires a text pipeline; this snapshot "
-              "reads numeric rows");
-  }
-  hdc::serve::RowReader reader(std::cin, num_features, input);
+  hdc::serve::RowReader reader(std::cin, plane.num_features(), input);
   hdc::serve::PredictionWriter writer(std::cout, output,
                                       flags.has("--latency"), head);
-  const hdc::serve::Server server(std::move(pipeline), options);
+  hdc::serve::ServerOptions options;
+  options.batch_size = batch;
+  if (flush_interval) {
+    options.flush_interval = *flush_interval;
+  }
+  const hdc::serve::Server server(plane, options);
   hdc::serve::Server::Stats stats;
   try {
     stats = server.run(reader, writer);
+  } catch (const hdc::serve::PlaneError& error) {
+    // A dead worker: the rows answered before it are already flushed, and
+    // the message names the input line where the stream stopped.
+    std::fprintf(stderr, "hdcgen serve: %s\n", error.what());
+    return 1;
   } catch (const hdc::serve::WriteError& error) {
     // Downstream hung up (EPIPE with SIGPIPE ignored): a clean summary
     // exit, not a crash — the rows already delivered stay delivered.
@@ -783,15 +653,22 @@ int cmd_serve(const FlagParser& flags, const std::string& path) {
                  writer.rows_written(), error.what());
     return 1;
   }
+  std::string replicas;
+  if (sharded) {
+    replicas = std::to_string(sharded->replicas()) + " replicas (" +
+               sharded->backend() +
+               ", shard=" + to_string(sharded->scheme()) + "), ";
+  }
   std::fprintf(stderr,
                "served %zu rows in %zu batches: %s pipeline, d = %zu, "
-               "%zu features/row, %.0f rows/s, kernels = %s%s\n",
-               stats.rows, stats.batches, kind, dimension, num_features,
+               "%zu features/row, %.0f rows/s, %skernels = %s%s\n",
+               stats.rows, stats.batches, hdc::io::to_string(plane.kind()),
+               plane.dimension(), plane.num_features(),
                stats.seconds > 0.0
                    ? static_cast<double>(stats.rows) / stats.seconds
                    : 0.0,
-               hdc::bits::active_kernels().name,
-               snapshot.locked() ? ", mlock" : "");
+               replicas.c_str(), hdc::bits::active_kernels().name,
+               locked ? ", mlock" : "");
   return 0;
 }
 
