@@ -642,10 +642,12 @@ void report_kv_serve_throughput() {
 
 // Online-adaptation feedback throughput: one AdaptiveState over an mmapped
 // classifier snapshot, fed a mistake-heavy labelled stream.  Each feedback
-// row costs an encode, a predict and (on a miss) a copy-on-write row
-// update, all under the state mutex — the `!adapt` control-path budget.
-// The CI gate pins a floor on feedback rows/s so the overlay never
-// regresses to cloning the whole model per sample.
+// row costs an encode, then under the state mutex a predict and, on a
+// miss, two row re-thresholds plus a publish — a fresh copy of the whole
+// model section, on purpose, so readers only ever see immutable models —
+// the `!adapt` control-path budget.  The CI gate pins a floor on feedback
+// rows/s so the update never regresses to per-bit loops or to copying
+// more than the model section per sample.
 void report_adapt_throughput() {
   constexpr std::size_t kDim = 10'240;
   constexpr std::size_t kRows = 4'096;

@@ -138,8 +138,8 @@ class ShardedServer final : public serve::PredictionPlane {
   std::uint64_t reload(const std::string& path) override;
 
   /// One `!adapt` feedback sample, broadcast to every rank: each applies
-  /// it to its deterministic rank-local overlay and serves the adapted
-  /// model from the next batch on.  The full response payload must be
+  /// it to its deterministic rank-local adaptation and serves the model it
+  /// publishes from the next batch on.  The full response payload must be
   /// byte-identical on every rank — divergence is a hard ClusterError.
   /// \throws ClusterError on worker failure or divergence;
   /// std::invalid_argument on arity mismatch (validated rank-side too).

@@ -63,14 +63,15 @@
 /// ## Online adaptation
 ///
 /// `Adapt` broadcasts one feedback sample to every rank; each rank applies
-/// it to a rank-local copy-on-write overlay (hdc/core/adaptive.hpp) seeded
-/// with the shared `kDefaultAdaptSeed`, so overlays are bit-identical
-/// across ranks by construction and every later `Predict2` serves the
-/// adapted model without further coordination.  `DeltaRows` reports the
-/// rank's current model rows that differ from the tracked *base* snapshot
-/// file (the last full snapshot loaded), which the coordinator verifies are
-/// identical on every rank before writing a delta file.  Any reload drops
-/// the overlay: its feedback targeted the retired generation.
+/// it to its own `serve::AdaptiveState`, seeded with the shared
+/// `kDefaultAdaptSeed`, so the published models are bit-identical across
+/// ranks by construction.  Every `Predict2` serves whatever the rank last
+/// published, so feedback takes effect without further coordination.
+/// `DeltaRows` reports the rank's published model rows that differ from
+/// the tracked *base* snapshot file (the last full snapshot loaded), which
+/// the coordinator verifies are identical on every rank before writing a
+/// delta file.  Any reload starts a fresh adaptation: the old feedback
+/// targeted the retired generation.
 
 #include <cstddef>
 #include <cstdint>
@@ -81,10 +82,10 @@
 #include <vector>
 
 #include "hdc/cluster/shard.hpp"
-#include "hdc/core/adaptive.hpp"
 #include "hdc/core/hypervector.hpp"
 #include "hdc/io/reload.hpp"
 #include "hdc/io/snapshot.hpp"
+#include "hdc/serve/adaptive_state.hpp"
 
 namespace hdc::cluster {
 
@@ -141,13 +142,14 @@ class Worker {
   [[nodiscard]] std::size_t replicas() const noexcept { return cfg_.replicas; }
   [[nodiscard]] ShardScheme scheme() const noexcept { return cfg_.scheme; }
   [[nodiscard]] std::uint64_t generation() const noexcept {
-    return generation_;
+    return state_->generation();
   }
+  /// The loaded (base) pipeline; adapted models share its encoders.
   [[nodiscard]] const io::Pipeline& pipeline() const noexcept {
-    return loaded_.pipeline;
+    return state_->pipeline();
   }
   [[nodiscard]] const std::string& source_path() const noexcept {
-    return source_path_;
+    return state_->source_path();
   }
 
   /// The last *full* snapshot this rank loaded — what delta reloads patch
@@ -172,24 +174,22 @@ class Worker {
                                                      std::size_t nrows,
                                                      bool text,
                                                      const char* what) const;
-  void predict_rows(std::span<const Hypervector> encoded, bool head,
+  /// Appends the Rows- or Classes-scheme answers of \p served's model to
+  /// \p out.
+  void predict_rows(const io::Pipeline& served,
+                    std::span<const Hypervector> encoded, bool head,
                     std::string& out) const;
-  void predict_classes(std::span<const Hypervector> encoded, bool head,
+  void predict_classes(const io::Pipeline& served,
+                       std::span<const Hypervector> encoded, bool head,
                        std::string& out) const;
-  /// Row \p index of the model this rank currently serves: the overlay row
-  /// when adapted, else the restored pipeline's row.
-  [[nodiscard]] std::span<const std::uint64_t> current_model_row(
-      std::size_t index) const;
 
   Config cfg_;
-  io::LoadedPipeline loaded_;
-  std::string source_path_;
+  /// The loaded generation (numbered from 1) and its source path.
+  serve::ServingStatePtr state_;
   std::string base_path_;
-  /// Rank-local adaptation overlay (at most one non-null, matching the
-  /// pipeline kind); null until the first Adapt after a (re)load.
-  std::unique_ptr<AdaptiveClassifier> adaptive_classifier_;
-  std::unique_ptr<AdaptiveRegressor> adaptive_regressor_;
-  std::uint64_t generation_ = 1;
+  /// Rank-local adaptation over state_, restarted by every reload; its
+  /// published state is what Predict2 serves.
+  std::unique_ptr<serve::AdaptiveState> adaptive_;
   std::uint64_t rows_ = 0;
   std::uint64_t batches_ = 0;
   bool shutdown_ = false;

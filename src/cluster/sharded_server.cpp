@@ -353,7 +353,7 @@ serve::AdaptOutcome ShardedServer::adapt_exchange(std::string request) {
   const std::vector<std::string> responses = checked_exchange(
       std::vector<std::string>(comm_->size(), std::move(request)), "adapt");
   // Every rank applied the same sample to a deterministically-seeded
-  // overlay: the *entire* response payload must agree byte for byte, or
+  // adaptation: the *entire* response payload must agree byte for byte, or
   // the bit-identical serving contract is already broken.
   for (std::size_t rank = 1; rank < responses.size(); ++rank) {
     if (responses[rank] != responses[0]) {

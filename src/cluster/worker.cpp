@@ -148,10 +148,11 @@ std::string encode_predict2_text_request(std::span<const std::string> rows,
 
 Worker::Worker(Config cfg)
     : cfg_(std::move(cfg)),
-      loaded_(io::load_pipeline(cfg_.snapshot_path, cfg_.integrity,
-                                cfg_.mapping)),
-      source_path_(cfg_.snapshot_path),
-      base_path_(cfg_.snapshot_path) {
+      state_(std::make_shared<const serve::ServingState>(
+          io::load_pipeline(cfg_.snapshot_path, cfg_.integrity, cfg_.mapping),
+          1, cfg_.snapshot_path)),
+      base_path_(cfg_.snapshot_path),
+      adaptive_(std::make_unique<serve::AdaptiveState>(state_)) {
   if (cfg_.replicas == 0) {
     throw std::invalid_argument{"cluster worker: replicas must be >= 1"};
   }
@@ -176,7 +177,7 @@ std::string Worker::handle(std::string_view request) {
       case WorkerOp::Stats: {
         std::string out(1, static_cast<char>(kWorkerOk));
         put_u64(out, cfg_.rank);
-        put_u64(out, generation_);
+        put_u64(out, generation());
         put_u64(out, rows_);
         put_u64(out, batches_);
         return out;
@@ -208,7 +209,7 @@ std::uint8_t Worker::checked_flags(std::string_view body,
     throw std::invalid_argument{std::string{what} + ": unknown request flags"};
   }
   const bool text = (flags & kPredictFlagText) != 0;
-  const io::PipelineInput input = loaded_.pipeline.input();
+  const io::PipelineInput input = pipeline().input();
   if (text != (input == io::PipelineInput::Text)) {
     throw std::invalid_argument{std::string{what} + ": request carries " +
                                 (text ? "text" : "numeric") +
@@ -221,7 +222,7 @@ std::uint8_t Worker::checked_flags(std::string_view body,
 std::vector<Hypervector> Worker::encode_rows(std::string_view body,
                                              std::size_t nrows, bool text,
                                              const char* what) const {
-  const io::Pipeline& p = loaded_.pipeline;
+  const io::Pipeline& p = pipeline();
   const std::string prefix = std::string{what} + ": ";
   std::vector<Hypervector> encoded;
   encoded.reserve(nrows);
@@ -263,50 +264,41 @@ std::string Worker::handle_predict2(std::string_view body) {
   const std::size_t nrows = get_u64(body, 1);
   const std::vector<Hypervector> encoded =
       encode_rows(body, nrows, (flags & kPredictFlagText) != 0, "predict");
+  // Every rank applied the same feedback deterministically, so serving what
+  // it published stays bit-identical across the fleet.
+  const serve::ServingStatePtr serving = adaptive_->published();
 
   std::string out;
   out.push_back(static_cast<char>(kWorkerOk));
-  put_u64(out, generation_);
+  put_u64(out, generation());
   put_u64(out, nrows);
   if (cfg_.scheme == ShardScheme::Rows) {
-    predict_rows(encoded, head, out);
+    predict_rows(serving->pipeline(), encoded, head, out);
   } else {
-    predict_classes(encoded, head, out);
+    predict_classes(serving->pipeline(), encoded, head, out);
   }
   rows_ += nrows;
   ++batches_;
   return out;
 }
 
-void Worker::predict_rows(std::span<const Hypervector> encoded, bool head,
+void Worker::predict_rows(const io::Pipeline& served,
+                          std::span<const Hypervector> encoded, bool head,
                           std::string& out) const {
-  const io::Pipeline& p = loaded_.pipeline;
-  const bool classifies = p.kind() == io::PipelineKind::Classifier;
+  const bool classifies = served.kind() == io::PipelineKind::Classifier;
   for (const Hypervector& query : encoded) {
-    // An adapted rank serves its overlay immediately: every rank applied
-    // the same feedback deterministically, so this stays bit-identical
-    // across the fleet.
     if (classifies) {
       if (head) {
-        const Top2 top = adaptive_classifier_ != nullptr
-                             ? adaptive_classifier_->predict_top2(query)
-                             : p.classifier().predict_top2(query);
+        const Top2 top = served.classifier().predict_top2(query);
         put_f64(out, static_cast<double>(top.best.index));
         put_f64(out, margin_confidence(top));
-      } else if (adaptive_classifier_ != nullptr) {
-        put_f64(out,
-                static_cast<double>(adaptive_classifier_->predict(query)));
       } else {
-        put_f64(out, static_cast<double>(p.classifier().predict(query)));
+        put_f64(out, static_cast<double>(served.classifier().predict(query)));
       }
     } else {
-      put_f64(out, adaptive_regressor_ != nullptr
-                       ? adaptive_regressor_->predict(query)
-                       : p.regressor().predict(query));
+      put_f64(out, served.regressor().predict(query));
       if (head) {
-        const Band band = adaptive_regressor_ != nullptr
-                              ? adaptive_regressor_->predict_band(query)
-                              : p.regressor().predict_band(query);
+        const Band band = served.regressor().predict_band(query);
         put_f64(out, band.p10);
         put_f64(out, band.p50);
         put_f64(out, band.p90);
@@ -315,22 +307,22 @@ void Worker::predict_rows(std::span<const Hypervector> encoded, bool head,
   }
 }
 
-void Worker::predict_classes(std::span<const Hypervector> encoded, bool head,
+void Worker::predict_classes(const io::Pipeline& served,
+                             std::span<const Hypervector> encoded, bool head,
                              std::string& out) const {
-  const io::Pipeline& p = loaded_.pipeline;
-  const bool classifies = p.kind() == io::PipelineKind::Classifier;
+  const bool classifies = served.kind() == io::PipelineKind::Classifier;
   // The scanned arena: class-vectors for a classifier, the label basis for
   // a regressor (whose query is the self-inverse unbinding model ⊗ phi(x̂)).
   std::span<const std::uint64_t> arena;
   std::size_t stride = 0;
   std::size_t candidates = 0;
   if (classifies) {
-    const CentroidClassifier& model = p.classifier();
+    const CentroidClassifier& model = served.classifier();
     arena = model.packed_class_words();
     stride = model.words_per_class();
     candidates = model.num_classes();
   } else {
-    const Basis& labels = p.regressor().labels().basis();
+    const Basis& labels = served.regressor().labels().basis();
     arena = labels.packed_words();
     stride = labels.words_per_vector();
     candidates = labels.size();
@@ -359,22 +351,13 @@ void Worker::predict_classes(std::span<const Hypervector> encoded, bool head,
     }
     if (classifies) {
       if (head) {
-        const Top2 top =
-            adaptive_classifier_ != nullptr
-                ? adaptive_classifier_->top2_in_slice(query, begin, end)
-                : top2_hamming(query.words(), arena.subspan(begin * stride),
-                               stride, end - begin, begin);
+        const Top2 top = top2_hamming(
+            query.words(), arena.subspan(begin * stride), stride,
+            end - begin, begin);
         put_u64(out, top.best.distance);
         put_u64(out, top.best.index);
         put_u64(out, top.second.distance);
         put_u64(out, top.second.index);
-      } else if (adaptive_classifier_ != nullptr) {
-        // The overlay scan substitutes adapted rows inside the slice and
-        // returns the global index directly.
-        const auto [distance, index] =
-            adaptive_classifier_->nearest_in_slice(query, begin, end);
-        put_u64(out, distance);
-        put_u64(out, index);
       } else {
         const bits::NearestMatch best = bits::nearest_hamming(
             query.words(), arena.subspan(begin * stride), stride,
@@ -384,11 +367,10 @@ void Worker::predict_classes(std::span<const Hypervector> encoded, bool head,
       }
       continue;
     }
-    // Unbind against the (possibly adapted) model; the scanned label basis
-    // is shared with the base, so only the query changes.
+    // Unbind against the served model; the scanned label basis is shared
+    // with the base, so only the query changes.
     const std::span<const std::uint64_t> model =
-        adaptive_regressor_ != nullptr ? adaptive_regressor_->model_words()
-                                       : p.regressor().model().words();
+        served.regressor().model().words();
     bound.resize(query.words().size());
     for (std::size_t w = 0; w < bound.size(); ++w) {
       bound[w] = model[w] ^ query.words()[w];
@@ -415,113 +397,55 @@ std::string Worker::handle_reload(std::string_view body) {
   }
   std::string path(body.substr(8, len));
   if (path.empty()) {
-    path = source_path_;
+    path = source_path();
   }
   const bool is_delta = io::snapshot_is_delta(path);
   io::LoadedPipeline fresh =
       io::load_pipeline_or_delta(path, base_path_, cfg_.integrity,
                                  cfg_.mapping);
-  io::ensure_swappable(fresh.pipeline, loaded_.pipeline);
-  loaded_ = std::move(fresh);
-  source_path_ = std::move(path);
+  io::ensure_swappable(fresh.pipeline, pipeline());
+  state_ = std::make_shared<const serve::ServingState>(
+      std::move(fresh), generation() + 1, path);
   if (!is_delta) {
-    base_path_ = source_path_;
+    base_path_ = path;
   }
-  // Any reload retires the overlay: its feedback targeted the old
-  // generation.  (A delta reload of the overlay's own export serves the
-  // identical model, now without the overlay indirection.)
-  adaptive_classifier_.reset();
-  adaptive_regressor_.reset();
-  ++generation_;
+  // Any reload retires the adaptation: its feedback targeted the old
+  // generation.  (A delta reload of its own export serves the identical
+  // model, now as the base.)
+  adaptive_ = std::make_unique<serve::AdaptiveState>(state_);
   std::string out(1, static_cast<char>(kWorkerOk));
-  put_u64(out, generation_);
+  put_u64(out, generation());
   return out;
 }
 
 std::string Worker::handle_adapt(std::string_view body) {
   const bool text =
       (checked_flags(body, kPredictFlagText, "adapt") & kPredictFlagText) != 0;
-  const io::Pipeline& p = loaded_.pipeline;
   const double target = get_f64(body, 1);
-  const Hypervector encoded = encode_rows(body, 1, text, "adapt").front();
-  // Validate before lazily creating the overlay so a rejected sample
-  // leaves the rank exactly as it was (every rank must stay in lockstep).
-  std::size_t label = 0;
-  if (p.kind() == io::PipelineKind::Classifier) {
-    label = checked_class_label(target, p.classifier().num_classes());
-  }
-  double predicted = 0.0;
-  std::uint64_t feedback = 0;
-  std::uint64_t updates = 0;
-  std::uint64_t overlay_rows = 0;
-  std::uint64_t before = 0;
-  if (p.kind() == io::PipelineKind::Classifier) {
-    if (adaptive_classifier_ == nullptr) {
-      adaptive_classifier_ = std::make_unique<AdaptiveClassifier>(
-          p.classifier_ptr(), kDefaultAdaptSeed);
-    }
-    before = adaptive_classifier_->updates();
-    predicted =
-        static_cast<double>(adaptive_classifier_->adapt(label, encoded));
-    feedback = adaptive_classifier_->feedback_rows();
-    updates = adaptive_classifier_->updates();
-    overlay_rows = adaptive_classifier_->touched_classes();
-  } else {
-    if (adaptive_regressor_ == nullptr) {
-      adaptive_regressor_ = std::make_unique<AdaptiveRegressor>(
-          p.regressor_ptr(), kDefaultAdaptSeed);
-    }
-    before = adaptive_regressor_->updates();
-    predicted = adaptive_regressor_->adapt(encoded, target);
-    feedback = adaptive_regressor_->feedback_rows();
-    updates = adaptive_regressor_->updates();
-    overlay_rows = adaptive_regressor_->touched() ? 1 : 0;
-  }
+  // AdaptiveState validates the sample before it updates anything, so a
+  // rejected one leaves the rank exactly as it was (every rank must stay
+  // in lockstep).
+  const serve::AdaptOutcome outcome = adaptive_->adapt_encoded(
+      encode_rows(body, 1, text, "adapt").front(), target);
   std::string out(1, static_cast<char>(kWorkerOk));
-  put_u64(out, generation_);
-  put_f64(out, predicted);
-  put_u64(out, updates != before ? 1 : 0);
-  put_u64(out, feedback);
-  put_u64(out, updates);
-  put_u64(out, overlay_rows);
+  put_u64(out, generation());
+  put_f64(out, outcome.predicted);
+  put_u64(out, outcome.updated ? 1 : 0);
+  put_u64(out, outcome.feedback_rows);
+  put_u64(out, outcome.updates);
+  put_u64(out, outcome.overlay_rows);
   return out;
-}
-
-std::span<const std::uint64_t> Worker::current_model_row(
-    std::size_t index) const {
-  if (adaptive_classifier_ != nullptr) {
-    return adaptive_classifier_->class_row(index);
-  }
-  if (adaptive_regressor_ != nullptr) {
-    return adaptive_regressor_->model_words();
-  }
-  const io::Pipeline& p = loaded_.pipeline;
-  if (p.kind() == io::PipelineKind::Classifier) {
-    const CentroidClassifier& model = p.classifier();
-    return model.packed_class_words().subspan(
-        index * model.words_per_class(), model.words_per_class());
-  }
-  return p.regressor().model().words();
 }
 
 std::string Worker::handle_delta_rows() {
   // Diff against the base *file*, not the in-memory base model: rows a
-  // delta reload already changed must stay in the next patch, and overlay
+  // delta reload already changed must stay in the next patch, and adapted
   // rows that drifted back to the base must drop out.
   const io::MappedSnapshot base = io::MappedSnapshot::open(base_path_);
-  const std::size_t section = io::find_model_section(base);
-  const io::SectionRecord& record = base.section(section);
-  const std::size_t dimension = loaded_.pipeline.dimension();
-  if (record.dimension != dimension) {
-    throw std::invalid_argument{
-        "delta rows: base snapshot dimension disagrees with the serving "
-        "model"};
-  }
-  const auto rows = io::diff_rows(
-      base, section, [this](std::size_t i) { return current_model_row(i); });
-  const std::uint64_t wpr = (dimension + 63) / 64;
+  const auto rows = adaptive_->diff_rows(base, io::find_model_section(base));
+  const std::uint64_t wpr = (pipeline().dimension() + 63) / 64;
   std::string out(1, static_cast<char>(kWorkerOk));
-  put_u64(out, generation_);
+  put_u64(out, generation());
   put_u64(out, rows.size());
   put_u64(out, wpr);
   for (const auto& [index, words] : rows) {

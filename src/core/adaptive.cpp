@@ -1,21 +1,19 @@
 #include "hdc/core/adaptive.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "hdc/base/require.hpp"
-#include "hdc/core/bitops.hpp"
-#include "hdc/core/ops.hpp"
 
 namespace hdc {
 
 namespace {
 
 // Tie-breaker salts, disjoint from the trainable models' 0xC1A55 / 0x4E64 so
-// an overlay never correlates with its base's training-time tie vector.
+// an adapted model never correlates with its base's training-time tie
+// vector.
 constexpr std::uint64_t kAdaptiveClassifierSalt = 0xADC1A55ULL;
 constexpr std::uint64_t kAdaptiveRegressorSalt = 0xAD4E64ULL;
 
@@ -35,91 +33,27 @@ std::size_t checked_class_label(double target, std::size_t num_classes) {
 
 AdaptiveClassifier::AdaptiveClassifier(
     std::shared_ptr<const CentroidClassifier> base, std::uint64_t seed)
-    : base_(std::move(base)) {
-  require(base_ != nullptr, "AdaptiveClassifier", "base model must not be null");
+    : base_(std::move(base)), model_(base_) {
+  require(base_ != nullptr, "AdaptiveClassifier",
+          "base model must not be null");
   if (!base_->finalized()) {
     throw std::logic_error(
-        "AdaptiveClassifier: base model must be finalized before overlaying");
+        "AdaptiveClassifier: base model must be finalized before adapting");
   }
   Rng rng(derive_seed(seed, kAdaptiveClassifierSalt));
   tie_breaker_ = Hypervector::random(base_->dimension(), rng);
 }
 
-std::size_t AdaptiveClassifier::predict(HypervectorView query) const {
-  return nearest_in_slice(query, 0, num_classes()).second;
-}
-
-std::pair<std::uint64_t, std::size_t> AdaptiveClassifier::nearest_in_slice(
-    HypervectorView query, std::size_t begin, std::size_t end) const {
-  require(query.dimension() == dimension(),
-          "AdaptiveClassifier::nearest_in_slice", "query dimension mismatch");
-  require(begin < end && end <= num_classes(),
-          "AdaptiveClassifier::nearest_in_slice", "slice out of range");
-  const std::size_t stride = base_->words_per_class();
-  std::vector<std::size_t> distances(end - begin);
-  bits::hamming_many(query.words(),
-                     base_->packed_class_words().subspan(begin * stride),
-                     stride, end - begin, distances);
-  // Substitute overlay rows after the fused base scan: cheaper than a
-  // per-class branch, and the map walk touches only the overlaid slice.
-  for (auto it = overlay_.lower_bound(begin);
-       it != overlay_.end() && it->first < end; ++it) {
-    distances[it->first - begin] = bits::hamming(
-        query.words(), std::span<const std::uint64_t>(it->second.row));
+BundleAccumulator& AdaptiveClassifier::accumulator(std::size_t label) {
+  const auto [it, fresh] = accumulators_.try_emplace(label, dimension());
+  if (fresh) {
+    // One majority vote for the snapshot state: counter = bit ? +1 : -1.
+    // The original training counters are not serialized, so the finalized
+    // row itself is the prior each feedback sample then shifts.
+    it->second.add(row_view(base_->packed_class_words(), dimension(),
+                            base_->words_per_class(), label));
   }
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < distances.size(); ++i) {
-    if (distances[i] < distances[best]) {
-      best = i;
-    }
-  }
-  return {static_cast<std::uint64_t>(distances[best]), begin + best};
-}
-
-Top2 AdaptiveClassifier::top2_in_slice(HypervectorView query,
-                                       std::size_t begin,
-                                       std::size_t end) const {
-  require(query.dimension() == dimension(), "AdaptiveClassifier::top2_in_slice",
-          "query dimension mismatch");
-  require(begin < end && end <= num_classes(),
-          "AdaptiveClassifier::top2_in_slice", "slice out of range");
-  const std::size_t stride = base_->words_per_class();
-  std::vector<std::size_t> distances(end - begin);
-  bits::hamming_many(query.words(),
-                     base_->packed_class_words().subspan(begin * stride),
-                     stride, end - begin, distances);
-  for (auto it = overlay_.lower_bound(begin);
-       it != overlay_.end() && it->first < end; ++it) {
-    distances[it->first - begin] = bits::hamming(
-        query.words(), std::span<const std::uint64_t>(it->second.row));
-  }
-  Top2 top{};
-  for (std::size_t i = 0; i < distances.size(); ++i) {
-    top2_offer(top, Candidate{static_cast<std::uint64_t>(distances[i]),
-                              static_cast<std::uint64_t>(begin + i)});
-  }
-  return top;
-}
-
-Top2 AdaptiveClassifier::predict_top2(HypervectorView query) const {
-  return top2_in_slice(query, 0, num_classes());
-}
-
-AdaptiveClassifier::Overlay& AdaptiveClassifier::touch(std::size_t label) {
-  const auto it = overlay_.find(label);
-  if (it != overlay_.end()) {
-    return it->second;
-  }
-  const HypervectorView base_row = row_view(
-      base_->packed_class_words(), dimension(), base_->words_per_class(), label);
-  Overlay overlay{BundleAccumulator(dimension()),
-                  std::vector<std::uint64_t>(base_row.words().begin(),
-                                             base_row.words().end())};
-  // One majority vote for the snapshot state: counter = bit ? +1 : -1.  The
-  // original training counters are not serialized, so the overlay treats the
-  // finalized row itself as the prior each feedback sample then shifts.
-  overlay.acc.add(base_row);
-  return overlay_.emplace(label, std::move(overlay)).first->second;
+  return it->second;
 }
 
 std::size_t AdaptiveClassifier::adapt(std::size_t label,
@@ -128,147 +62,96 @@ std::size_t AdaptiveClassifier::adapt(std::size_t label,
           "label out of range");
   require(encoded.dimension() == dimension(), "AdaptiveClassifier::adapt",
           "sample dimension mismatch");
-  const std::size_t predicted = predict(encoded);
+  const std::size_t predicted = model_->predict(encoded);
   ++seen_;
   if (predicted != label) {
-    Overlay& truth = touch(label);
-    Overlay& missed = touch(predicted);  // std::map: no reference invalidation.
-    truth.acc.add(encoded);
-    missed.acc.subtract(encoded);
-    pack_row(truth.acc.finalize(tie_breaker_), truth.row,
-             base_->words_per_class(), 0);
-    pack_row(missed.acc.finalize(tie_breaker_), missed.row,
-             base_->words_per_class(), 0);
+    accumulator(label).add(encoded);
+    accumulator(predicted).subtract(encoded);
+    // Publish: a copy of the current section with both rows re-thresholded.
+    // Readers holding the previous model keep it unchanged.
+    const auto current = model_->packed_class_words();
+    std::vector<std::uint64_t> arena(current.begin(), current.end());
+    for (const std::size_t row : {label, predicted}) {
+      pack_row(accumulators_.at(row).finalize(tie_breaker_), arena,
+               base_->words_per_class(), row);
+    }
+    // pack_row(finalize(...)) keeps the tail invariant; skip the re-scan.
+    model_ = std::make_shared<const CentroidClassifier>(
+        CentroidClassifier::from_packed_class_words(
+            num_classes(), dimension(), WordStorage(std::move(arena)),
+            unchecked));
     ++updates_;
   }
   return predicted;
 }
 
-std::span<const std::uint64_t> AdaptiveClassifier::class_row(
-    std::size_t label) const {
-  require(label < num_classes(), "AdaptiveClassifier::class_row",
-          "label out of range");
-  const auto it = overlay_.find(label);
-  if (it != overlay_.end()) {
-    return it->second.row;
-  }
-  const std::size_t stride = base_->words_per_class();
-  return base_->packed_class_words().subspan(label * stride, stride);
-}
-
 std::map<std::size_t, std::vector<std::uint64_t>>
 AdaptiveClassifier::changed_rows() const {
+  const std::size_t stride = model_->words_per_class();
   std::map<std::size_t, std::vector<std::uint64_t>> rows;
-  for (const auto& [label, overlay] : overlay_) {
-    rows.emplace(label, overlay.row);
+  for (const auto& entry : accumulators_) {
+    const auto row =
+        model_->packed_class_words().subspan(entry.first * stride, stride);
+    rows.emplace(entry.first,
+                 std::vector<std::uint64_t>(row.begin(), row.end()));
   }
   return rows;
 }
 
-CentroidClassifier AdaptiveClassifier::materialize() const {
-  const auto base_words = base_->packed_class_words();
-  std::vector<std::uint64_t> arena(base_words.begin(), base_words.end());
-  const std::size_t stride = base_->words_per_class();
-  for (const auto& [label, overlay] : overlay_) {
-    std::copy(overlay.row.begin(), overlay.row.end(),
-              arena.begin() + static_cast<std::ptrdiff_t>(label * stride));
-  }
-  // Overlay rows come from pack_row(finalize(...)) so the tail invariant
-  // holds by construction; skip the re-scan.
-  return CentroidClassifier::from_packed_class_words(
-      num_classes(), dimension(), WordStorage(std::move(arena)), unchecked);
-}
-
 void AdaptiveClassifier::reset() noexcept {
-  overlay_.clear();
+  model_ = base_;
+  accumulators_.clear();
   seen_ = 0;
   updates_ = 0;
 }
 
 AdaptiveRegressor::AdaptiveRegressor(std::shared_ptr<const HDRegressor> base,
                                      std::uint64_t seed)
-    : base_(std::move(base)) {
+    : base_(std::move(base)), model_(base_) {
   require(base_ != nullptr, "AdaptiveRegressor", "base model must not be null");
   if (!base_->finalized()) {
     throw std::logic_error(
-        "AdaptiveRegressor: base model must be finalized before overlaying");
+        "AdaptiveRegressor: base model must be finalized before adapting");
   }
   Rng rng(derive_seed(seed, kAdaptiveRegressorSalt));
   tie_breaker_ = Hypervector::random(base_->dimension(), rng);
 }
 
-double AdaptiveRegressor::predict(HypervectorView encoded_input) const {
-  require(encoded_input.dimension() == dimension(),
-          "AdaptiveRegressor::predict", "input dimension mismatch");
-  if (overlay_ == nullptr) {
-    return base_->predict(encoded_input);
-  }
-  return base_->labels().decode(overlay_->model ^ encoded_input);
-}
-
-void AdaptiveRegressor::label_distances(HypervectorView encoded_input,
-                                        std::span<std::size_t> out) const {
-  require(encoded_input.dimension() == dimension(),
-          "AdaptiveRegressor::label_distances", "input dimension mismatch");
-  const Basis& basis = base_->labels().basis();
-  require(out.size() >= basis.size(), "AdaptiveRegressor::label_distances",
-          "out must hold one distance per label grid point");
-  std::vector<std::uint64_t> bound(bits::words_for(dimension()));
-  bits::xor_rows(bound, model_words(), encoded_input.words());
-  bits::hamming_many(bound, basis.packed_words(), basis.words_per_vector(),
-                     basis.size(), out);
-}
-
-Band AdaptiveRegressor::predict_band(HypervectorView encoded_input) const {
-  std::vector<std::size_t> distances(base_->labels().size());
-  label_distances(encoded_input, distances);
-  return band_from_distances(distances, base_->labels(), dimension());
-}
-
 double AdaptiveRegressor::adapt(HypervectorView encoded_input, double target) {
   require(encoded_input.dimension() == dimension(), "AdaptiveRegressor::adapt",
           "input dimension mismatch");
-  const double predicted = predict(encoded_input);
+  const double predicted = model_->predict(encoded_input);
   ++seen_;
   const ScalarEncoder& labels = base_->labels();
   // Compare on the label grid: predicted is already a grid value, and any
   // target is first quantized by phi_l anyway.
   if (labels.index_of(target) != labels.index_of(predicted)) {
-    if (overlay_ == nullptr) {
-      overlay_ = std::make_unique<Overlay>(
-          Overlay{BundleAccumulator(dimension()), base_->model()});
-      overlay_->acc.add(overlay_->model);  // Majority-vote prior, as above.
+    if (!accumulator_.has_value()) {
+      accumulator_.emplace(dimension());
+      accumulator_->add(base_->model());  // Majority-vote prior, as above.
     }
-    overlay_->acc.add(encoded_input ^ labels.encode(target));
-    overlay_->acc.subtract(encoded_input ^ labels.encode(predicted));
-    overlay_->model = overlay_->acc.finalize(tie_breaker_);
+    accumulator_->add(encoded_input ^ labels.encode(target));
+    accumulator_->subtract(encoded_input ^ labels.encode(predicted));
+    model_ = std::make_shared<const HDRegressor>(HDRegressor::from_model(
+        base_->labels_ptr(), accumulator_->finalize(tie_breaker_)));
     ++updates_;
   }
   return predicted;
 }
 
-std::span<const std::uint64_t> AdaptiveRegressor::model_words() const {
-  return overlay_ != nullptr ? overlay_->model.words() : base_->model().words();
-}
-
 std::map<std::size_t, std::vector<std::uint64_t>>
 AdaptiveRegressor::changed_rows() const {
   std::map<std::size_t, std::vector<std::uint64_t>> rows;
-  if (overlay_ != nullptr) {
-    const auto words = overlay_->model.words();
+  if (accumulator_.has_value()) {
+    const auto words = model_->model().words();
     rows.emplace(0, std::vector<std::uint64_t>(words.begin(), words.end()));
   }
   return rows;
 }
 
-HDRegressor AdaptiveRegressor::materialize() const {
-  return HDRegressor::from_model(
-      base_->labels_ptr(),
-      overlay_ != nullptr ? overlay_->model : base_->model());
-}
-
 void AdaptiveRegressor::reset() noexcept {
-  overlay_.reset();
+  model_ = base_;
+  accumulator_.reset();
   seen_ = 0;
   updates_ = 0;
 }

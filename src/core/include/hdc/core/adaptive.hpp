@@ -2,58 +2,57 @@
 #define HDC_CORE_ADAPTIVE_HPP
 
 /// \file adaptive.hpp
-/// \brief Copy-on-write online adaptation over restored (borrowed) models.
+/// \brief Online adaptation over restored (borrowed) models, published as
+/// immutable models.
 ///
 /// Restored models are inference-only by design: their integer accumulators
 /// are not part of the serialized state, and a snapshot-backed arena is a
 /// read-only mapping that must never be written.  Production models drift
 /// anyway, so serving needs the OnlineHD-style mistake-driven refinement
-/// *without* giving up the zero-copy base.  The overlay classes here provide
+/// *without* giving up the zero-copy base.  The classes here provide
 /// exactly that:
 ///
 ///  * the base model (typically borrowed straight off an
 ///    `hdc::io::MappedSnapshot`) stays untouched and keeps serving;
-///  * the first `adapt()` that touches a class clones only that class's row
-///    into an owning overlay and seeds a fresh accumulator from the row's
-///    bits (counter = bit ? +1 : -1 — one majority vote for the snapshot
-///    state), so memory grows with the number of *touched* classes, not the
-///    model size;
-///  * `predict()` reads overlay rows where they exist and base rows
-///    everywhere else, with the same argmin-lowest-index tie-break as
-///    `CentroidClassifier::predict` — so an overlay with no touched rows is
-///    bit-identical to the base, and `materialize()` (a full owning model
-///    with overlay rows patched in) always predicts bit-identically to the
-///    overlay it came from.
+///  * the first `adapt()` that touches a row seeds an accumulator from the
+///    row's bits (counter = bit ? +1 : -1 — one majority vote for the
+///    snapshot state), so accumulators exist only for *touched* rows;
+///  * every update that changes the model publishes a new immutable owning
+///    model: a copy of the model section with the re-thresholded rows
+///    patched in, the same bytes `hdc::io::apply_delta` produces.  `model()`
+///    hands it out, and readers serve it like any other model.  A published
+///    model never changes, so an untouched adapter serves the base itself.
 ///
 /// The touched rows are exactly the payload of an HDCS v4 delta section
 /// (`hdc::io::SnapshotWriter::add_delta`): an adapted model ships as base +
 /// small patch instead of a full snapshot.
 ///
-/// Determinism: two overlays built with the same seed over the same base and
-/// fed the same feedback stream are bit-identical — the property the cluster
-/// layer relies on when broadcasting `!adapt` feedback to every rank.
+/// Determinism: two adapters built with the same seed over the same base
+/// and fed the same feedback stream publish bit-identical models — the
+/// property the cluster layer relies on when broadcasting `!adapt` feedback
+/// to every rank.
 ///
-/// Thread safety: const members are safe to call concurrently; `adapt()` is
-/// not (callers serialize, e.g. `hdc::serve::AdaptiveState`).
+/// Thread safety: const members are safe to call concurrently; `adapt()` and
+/// `reset()` are not (callers serialize, e.g. `hdc::serve::AdaptiveState`).
+/// A model handed out by `model()` stays valid for as long as its holder
+/// keeps it.
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
-#include <utility>
+#include <optional>
 #include <vector>
 
 #include "hdc/core/accumulator.hpp"
 #include "hdc/core/classifier.hpp"
-#include "hdc/core/confidence.hpp"
 #include "hdc/core/hypervector.hpp"
 #include "hdc/core/regressor.hpp"
 
 namespace hdc {
 
-/// Default overlay seed shared by every serving layer.  Replicas fed the
-/// same feedback stream must build bit-identical overlays (the cluster
+/// Default adaptation seed shared by every serving layer.  Replicas fed the
+/// same feedback stream must publish bit-identical models (the cluster
 /// broadcast correctness condition), so they must also agree on the
 /// tie-breaker derivation — one well-known seed, overridable only when a
 /// caller owns determinism end to end.
@@ -66,12 +65,12 @@ inline constexpr std::uint64_t kDefaultAdaptSeed = 0xADA57A7EULL;
 [[nodiscard]] std::size_t checked_class_label(double target,
                                               std::size_t num_classes);
 
-/// Mistake-driven classifier overlay: copy-on-write class rows over a
-/// shared, finalized (usually snapshot-backed) `CentroidClassifier`.
+/// Mistake-driven classifier adaptation over a shared, finalized (usually
+/// snapshot-backed) `CentroidClassifier`.
 class AdaptiveClassifier {
  public:
-  /// \param base  Finalized base model; shared so the overlay keeps the
-  /// snapshot mapping alive through whatever owns it.
+  /// \param base  Finalized base model; shared, because model() hands it
+  /// out until the first effective update.
   /// \param seed  Derives the deterministic majority tie-breaker.
   /// \throws std::invalid_argument if base is null;
   /// std::logic_error if base is not finalized.
@@ -88,87 +87,51 @@ class AdaptiveClassifier {
     return *base_;
   }
 
-  /// argmin_i delta(query, row_i) where row_i is the overlay row when class
-  /// i was touched and the base row otherwise; ties keep the lowest index
-  /// (bit-identical to CentroidClassifier::predict on materialize()).
-  /// \throws std::invalid_argument on dimension mismatch.
-  [[nodiscard]] std::size_t predict(HypervectorView query) const;
+  /// The model to serve: the base until the first effective adapt(), then
+  /// the model the latest one published.  Never null.
+  [[nodiscard]] const std::shared_ptr<const CentroidClassifier>& model()
+      const noexcept {
+    return model_;
+  }
 
-  /// Best `(Hamming distance, global class index)` over classes
-  /// [begin, end), reading overlay rows where they exist — the sharded
-  /// Classes-scheme slice scan.  Lexicographic minima over disjoint
-  /// ascending slices reduce to exactly predict()'s argmin with
-  /// lowest-index ties.  \throws std::invalid_argument on dimension
-  /// mismatch or an empty/out-of-range slice.
-  [[nodiscard]] std::pair<std::uint64_t, std::size_t> nearest_in_slice(
-      HypervectorView query, std::size_t begin, std::size_t end) const;
-
-  /// Top-2 (distance, global index) candidates over classes [begin, end),
-  /// overlay rows substituted — the head-carrying variant of
-  /// nearest_in_slice().  merge_top2() over disjoint ascending slices
-  /// equals top2_in_slice() over the union, which is what keeps cluster
-  /// confidence bit-identical to one process.  \throws as
-  /// nearest_in_slice().
-  [[nodiscard]] Top2 top2_in_slice(HypervectorView query, std::size_t begin,
-                                   std::size_t end) const;
-
-  /// Top-2 over every class; `best` matches predict(), and
-  /// margin_confidence() of the result is the adapted model's confidence
-  /// head.  \throws std::invalid_argument on dimension mismatch.
-  [[nodiscard]] Top2 predict_top2(HypervectorView query) const;
-
-  /// One mistake-driven update: predicts \p encoded; on a miss clones the
-  /// true and predicted class rows into the overlay (first touch only),
-  /// adds the sample to the true class, subtracts it from the predicted
-  /// one, and re-thresholds both rows.  The model stays queryable-consistent
-  /// after every call — there is no finalize() step to forget.  Returns the
-  /// pre-update prediction.
+  /// One mistake-driven update: predicts \p encoded over model(); on a miss
+  /// adds the sample to the true class's accumulator, subtracts it from the
+  /// predicted one's (each seeded from its row on first touch), and
+  /// publishes a new model with both rows re-thresholded.  There is no
+  /// finalize() step to forget.  Returns the pre-update prediction.
   /// \throws std::invalid_argument on bad label or dimension mismatch.
   std::size_t adapt(std::size_t label, HypervectorView encoded);
 
-  /// Class \p label's current row: the overlay row if touched, else the
-  /// base row.  \throws std::invalid_argument on a bad label.
-  [[nodiscard]] std::span<const std::uint64_t> class_row(
-      std::size_t label) const;
-
-  /// The touched rows, keyed by class index in ascending order — exactly
-  /// the per-class changed-row patches of an HDCS delta section.
+  /// The touched rows of model(), keyed by class index in ascending order —
+  /// exactly the per-class changed-row patches of an HDCS delta section.
   [[nodiscard]] std::map<std::size_t, std::vector<std::uint64_t>>
   changed_rows() const;
 
-  /// Number of classes with an overlay row.
+  /// Number of classes with an accumulator.
   [[nodiscard]] std::size_t touched_classes() const noexcept {
-    return overlay_.size();
+    return accumulators_.size();
   }
   /// Feedback rows seen / rows that actually updated the model.
   [[nodiscard]] std::uint64_t feedback_rows() const noexcept { return seen_; }
   [[nodiscard]] std::uint64_t updates() const noexcept { return updates_; }
 
-  /// A full owning, inference-only `CentroidClassifier` with the overlay
-  /// rows patched into a copy of the base arena; predicts bit-identically
-  /// to this overlay.
-  [[nodiscard]] CentroidClassifier materialize() const;
-
-  /// Drops every overlay row: the model is the base again.
+  /// Drops every accumulator: the model is the base again.
   void reset() noexcept;
 
  private:
-  struct Overlay {
-    BundleAccumulator acc;
-    std::vector<std::uint64_t> row;
-  };
-
-  Overlay& touch(std::size_t label);
+  /// Class \p label's accumulator, seeded from its base row on first touch.
+  BundleAccumulator& accumulator(std::size_t label);
 
   std::shared_ptr<const CentroidClassifier> base_;
-  std::map<std::size_t, Overlay> overlay_;
+  std::shared_ptr<const CentroidClassifier> model_;
+  std::map<std::size_t, BundleAccumulator> accumulators_;
   Hypervector tie_breaker_;
   std::uint64_t seen_ = 0;
   std::uint64_t updates_ = 0;
 };
 
-/// Mistake-driven regressor overlay: a copy-on-write model hypervector over
-/// a shared, finalized (usually snapshot-backed) `HDRegressor`.
+/// Mistake-driven regressor adaptation over a shared, finalized (usually
+/// snapshot-backed) `HDRegressor`.
 class AdaptiveRegressor {
  public:
   /// \throws std::invalid_argument if base is null; std::logic_error if
@@ -181,33 +144,25 @@ class AdaptiveRegressor {
   }
   [[nodiscard]] const HDRegressor& base() const noexcept { return *base_; }
 
-  /// decode(M ⊗ phi(x̂)) over the current (overlay or base) model.
-  /// \throws std::invalid_argument on dimension mismatch.
-  [[nodiscard]] double predict(HypervectorView encoded_input) const;
-
-  /// The label-grid distance profile of the *current* (overlay or base)
-  /// model — `HDRegressor::label_distances` over the adapted model row.
-  /// \p out must hold base().labels().size() entries.
-  /// \throws std::invalid_argument on dimension or size mismatch.
-  void label_distances(HypervectorView encoded_input,
-                       std::span<std::size_t> out) const;
-
-  /// p10/p50/p90 band over the current model (see
-  /// HDRegressor::predict_band).
-  [[nodiscard]] Band predict_band(HypervectorView encoded_input) const;
+  /// The model to serve, as AdaptiveClassifier::model(); it shares the
+  /// base's label encoder.  Never null.
+  [[nodiscard]] const std::shared_ptr<const HDRegressor>& model()
+      const noexcept {
+    return model_;
+  }
 
   /// One mistake-driven update, mirroring `HDRegressor::adapt`: on a decoded
   /// value that differs from \p target, adds phi(x̂) ⊗ phi_l(target),
-  /// subtracts phi(x̂) ⊗ phi_l(predicted), and re-thresholds the model row
-  /// (cloned from the base on first touch).  Returns the pre-update
-  /// prediction.  \throws std::invalid_argument on dimension mismatch.
+  /// subtracts phi(x̂) ⊗ phi_l(predicted), and publishes the re-thresholded
+  /// model row (the accumulator is seeded from the base row on first
+  /// touch).  Returns the pre-update prediction.
+  /// \throws std::invalid_argument on dimension mismatch.
   double adapt(HypervectorView encoded_input, double target);
 
-  /// The current model row's packed words (overlay if touched, else base).
-  [[nodiscard]] std::span<const std::uint64_t> model_words() const;
-
-  /// True once adapt() has cloned the model row.
-  [[nodiscard]] bool touched() const noexcept { return overlay_ != nullptr; }
+  /// True once adapt() has touched the model row.
+  [[nodiscard]] bool touched() const noexcept {
+    return accumulator_.has_value();
+  }
   [[nodiscard]] std::uint64_t feedback_rows() const noexcept { return seen_; }
   [[nodiscard]] std::uint64_t updates() const noexcept { return updates_; }
 
@@ -216,21 +171,13 @@ class AdaptiveRegressor {
   [[nodiscard]] std::map<std::size_t, std::vector<std::uint64_t>>
   changed_rows() const;
 
-  /// An owning, inference-only `HDRegressor` over the current model;
-  /// predicts bit-identically to this overlay.
-  [[nodiscard]] HDRegressor materialize() const;
-
-  /// Drops the overlay: the model is the base again.
+  /// Drops the accumulator: the model is the base again.
   void reset() noexcept;
 
  private:
-  struct Overlay {
-    BundleAccumulator acc;
-    Hypervector model;
-  };
-
   std::shared_ptr<const HDRegressor> base_;
-  std::unique_ptr<Overlay> overlay_;
+  std::shared_ptr<const HDRegressor> model_;
+  std::optional<BundleAccumulator> accumulator_;
   Hypervector tie_breaker_;
   std::uint64_t seen_ = 0;
   std::uint64_t updates_ = 0;

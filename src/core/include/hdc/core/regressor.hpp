@@ -59,7 +59,7 @@ class HDRegressor {
   }
   [[nodiscard]] const ScalarEncoder& labels() const noexcept { return *labels_; }
 
-  /// The shared label encoder itself, for overlays/serializers that must
+  /// The shared label encoder itself, for adapters/serializers that must
   /// keep phi_l alive beyond this object (e.g. AdaptiveRegressor,
   /// from_model() round trips).
   [[nodiscard]] const ScalarEncoderPtr& labels_ptr() const noexcept {

@@ -96,11 +96,11 @@ struct DeltaPatch {
     const std::map<std::size_t, std::vector<std::uint64_t>>& rows);
 
 /// Rows of the base snapshot's model section whose packed words differ from
-/// `current_row(i)` — the changed-row set a live overlay exports.
+/// `current_row(i)` — the changed-row set a live adaptation exports.
 /// `current_row` is called once per row with i in [0, section rows) and must
 /// return that row of the *adapted* model; comparing against the file (not
 /// an in-memory base) keeps rows changed by an earlier delta reload in the
-/// patch and drops overlay rows that ended up identical to the base.
+/// patch and drops adapted rows that ended up identical to the base.
 /// \throws SnapshotError if \p model_section is not a model section or a
 /// returned row has the wrong word count.
 [[nodiscard]] std::map<std::size_t, std::vector<std::uint64_t>> diff_rows(

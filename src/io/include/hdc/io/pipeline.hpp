@@ -125,13 +125,22 @@ class Pipeline {
   [[nodiscard]] const CentroidClassifier& classifier() const;
   [[nodiscard]] const HDRegressor& regressor() const;
 
-  /// The restored model as its shared handle, for adaptation overlays
+  /// The restored model as its shared handle, for adaptation
   /// (hdc::AdaptiveClassifier / AdaptiveRegressor) that must keep the model
   /// alive independently of this Pipeline object.  \throws std::logic_error
   /// when the pipeline is not of that kind.
   [[nodiscard]] std::shared_ptr<const CentroidClassifier> classifier_ptr()
       const;
   [[nodiscard]] std::shared_ptr<const HDRegressor> regressor_ptr() const;
+
+  /// This pipeline with \p model in place of its model: the same (shared)
+  /// encoders, so an adapted model serves without re-restoring them.
+  /// \throws std::logic_error when the pipeline is not of that kind;
+  /// std::invalid_argument if \p model is null or of another dimension.
+  [[nodiscard]] Pipeline with_model(
+      std::shared_ptr<const CentroidClassifier> model) const;
+  [[nodiscard]] Pipeline with_model(
+      std::shared_ptr<const HDRegressor> model) const;
 
   /// The restored encoder: exactly one of these is non-null.
   [[nodiscard]] const KeyValueEncoder* feature_encoder() const noexcept {

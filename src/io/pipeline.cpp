@@ -4,6 +4,8 @@
 #include <string>
 #include <utility>
 
+#include "hdc/base/require.hpp"
+
 namespace hdc::io {
 
 const char* to_string(PipelineKind kind) noexcept {
@@ -177,6 +179,25 @@ std::shared_ptr<const HDRegressor> Pipeline::regressor_ptr() const {
         "Pipeline::regressor_ptr: this is a classifier pipeline");
   }
   return regressor_;
+}
+
+Pipeline Pipeline::with_model(
+    std::shared_ptr<const CentroidClassifier> model) const {
+  (void)classifier();  // Kind check.
+  require(model != nullptr && model->dimension() == dimension_,
+          "Pipeline::with_model", "model must match the pipeline dimension");
+  Pipeline swapped = *this;
+  swapped.classifier_ = std::move(model);
+  return swapped;
+}
+
+Pipeline Pipeline::with_model(std::shared_ptr<const HDRegressor> model) const {
+  (void)regressor();  // Kind check.
+  require(model != nullptr && model->dimension() == dimension_,
+          "Pipeline::with_model", "model must match the pipeline dimension");
+  Pipeline swapped = *this;
+  swapped.regressor_ = std::move(model);
+  return swapped;
 }
 
 runtime::BatchEncoder Pipeline::batch_encoder(

@@ -14,9 +14,11 @@
 ///  * the batch engines and the worker pool are built on the first batch
 ///    after each swap and shared by every caller, so a control-only server
 ///    never pays for a pool and a bad thread count fails the first batch;
-///  * `!adapt` feedback lands in an `AdaptiveState` overlay pinned to the
-///    active generation; `adapted` predictions read it row at a time (the
-///    `!use adapted` side of the A/B).
+///  * `!adapt` feedback lands in an `AdaptiveState` pinned to the active
+///    generation, which publishes each adapted model as a `ServingState`;
+///    `adapted` predictions (the `!use adapted` side of the A/B) serve the
+///    latest one through the same batch engines, built once per published
+///    model.
 ///
 /// No lock is held across a predict.
 
@@ -67,12 +69,13 @@ class LocalPlane final : public PredictionPlane {
 
   /// The active generation (never null).
   [[nodiscard]] ServingStatePtr active() const;
-  /// The engines of the active generation, built (with the pool) on first
-  /// use after each swap.
-  [[nodiscard]] std::shared_ptr<const Engines> engines();
-  /// The overlay pinned to the active generation, created on first use and
-  /// replaced (feedback discarded, by design: it targeted a retired model)
-  /// whenever a reload has swapped the active state since.
+  /// The engines of the active generation, or with \p adapted of the
+  /// latest published adapted state, built (with the pool) on first use
+  /// after each swap or publish.
+  [[nodiscard]] std::shared_ptr<const Engines> engines(bool adapted);
+  /// The adaptation pinned to the active generation, created on first use
+  /// and replaced (feedback discarded, by design: it targeted a retired
+  /// model) whenever a reload has swapped the active state since.
   [[nodiscard]] AdaptiveStatePtr adaptive_state();
   [[nodiscard]] std::string base_path() const;
 
@@ -82,6 +85,7 @@ class LocalPlane final : public PredictionPlane {
   ServingStatePtr active_;
   runtime::ThreadPoolPtr pool_;
   std::shared_ptr<const Engines> engines_;
+  std::shared_ptr<const Engines> adapted_engines_;
   AdaptiveStatePtr adaptive_;
   std::string base_path_;  ///< What delta reloads and `!delta` diff against.
 };

@@ -55,14 +55,16 @@
 ///                        (an integral class label for classifiers).
 ///                        Replies `!ok adapt predicted=P updated=U
 ///                        feedback=N updates=M overlay_rows=K generation=G`
-///                        without touching the serving base model — the
-///                        update lands in a copy-on-write overlay pinned to
-///                        the current generation (and is dropped when a
-///                        reload retires that generation).
+///                        without touching the serving base model — an
+///                        update publishes a new adapted model (a copy of
+///                        the model section with the changed rows patched
+///                        in) pinned to the current generation, dropped
+///                        when a reload retires that generation.
 ///   * `!use base|adapted` → A/B switch for *this connection's* data rows:
-///                        `adapted` routes them through the overlay,
-///                        `base` (the default) through the swap state.
-///   * `!delta PATH`    → exports the overlay-vs-base difference as an HDCS
+///                        `adapted` serves them from the latest published
+///                        model, `base` (the default) from the swap state,
+///                        both through the same batch engines.
+///   * `!delta PATH`    → exports the adapted-vs-base difference as an HDCS
 ///                        delta file at PATH (`!ok delta rows=N path=PATH`);
 ///                        `!reload PATH` on any replica of the same base —
 ///                        or `hdcgen patch` — restores the adapted model
@@ -70,13 +72,14 @@
 ///   * `!quit`          → `!ok bye`, then the connection closes.
 ///
 /// In cluster mode (`--replicas`), `!adapt` broadcasts the sample to every
-/// rank, which apply it to deterministic rank-local overlays and serve the
-/// adapted model immediately; `!use` is rejected and `!delta` gathers the
-/// changed rows from rank 0.
+/// rank; each publishes the same adapted model deterministically and serves
+/// it immediately, so `!use` is rejected and `!delta` gathers the changed
+/// rows from rank 0.
 ///
-/// A malformed data line flushes every row admitted before it, answers
-/// `!error row N: ...` and closes that one connection; the server and all
-/// other connections keep running.
+/// A malformed data line, or an unterminated one longer than 1 MiB, flushes
+/// every row admitted before it, answers `!error row N: ...` and closes
+/// that one connection; the server and all other connections keep
+/// running.
 
 #include <chrono>
 #include <cstddef>

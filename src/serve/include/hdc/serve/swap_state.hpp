@@ -14,6 +14,9 @@
 ///    pointer and keeps it for the duration of the batch; a reload builds
 ///    and validates a complete replacement off to the side and flips the
 ///    pointer in one step.
+///  * `!adapt` feedback publishes the same way: `AdaptiveState` wraps each
+///    adapted model in a `ServingState` over the base's encoders and
+///    mapping, and `!use adapted` batches copy that pointer instead.
 ///
 /// In-flight batches therefore always finish on the mapping they started
 /// on, new batches pick up the replacement immediately, and the old
@@ -50,6 +53,16 @@ class ServingState {
         generation_(generation),
         source_path_(std::move(source_path)) {}
 
+  /// The adapted twin of \p base: \p adapted is base's pipeline with an
+  /// adapted model swapped in (io::Pipeline::with_model).  It keeps \p base,
+  /// and so its mapping, alive, and carries base's generation and source
+  /// path: adaptation publishes a model, not a generation.
+  ServingState(std::shared_ptr<const ServingState> base, io::Pipeline adapted)
+      : base_(std::move(base)),
+        pipeline_(std::move(adapted)),
+        generation_(base_->generation()),
+        source_path_(base_->source_path()) {}
+
   [[nodiscard]] const io::Pipeline& pipeline() const noexcept {
     return pipeline_;
   }
@@ -61,8 +74,10 @@ class ServingState {
   }
 
  private:
-  /// Declared before the pipeline, which borrows it and so must die first;
-  /// empty for a borrowed pipeline.  The mapping never relocates on a move.
+  /// Declared before the pipeline, which borrows them and so must die
+  /// first.  base_ is set only on an adapted state and snapshot_ only on a
+  /// loaded one; the mapping never relocates on a move.
+  std::shared_ptr<const ServingState> base_;
   std::optional<io::MappedSnapshot> snapshot_;
   io::Pipeline pipeline_;
   std::uint64_t generation_;

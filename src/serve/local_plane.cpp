@@ -48,15 +48,20 @@ std::string LocalPlane::base_path() const {
   return base_path_;
 }
 
-std::shared_ptr<const LocalPlane::Engines> LocalPlane::engines() {
+std::shared_ptr<const LocalPlane::Engines> LocalPlane::engines(bool adapted) {
+  // The adapted side serves whatever the adaptation last published.
+  const ServingStatePtr published =
+      adapted ? adaptive_state()->published() : nullptr;
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (engines_ == nullptr || engines_->state != active_) {
+  const ServingStatePtr& state = adapted ? published : active_;
+  std::shared_ptr<const Engines>& slot = adapted ? adapted_engines_ : engines_;
+  if (slot == nullptr || slot->state != state) {
     if (pool_ == nullptr) {
       pool_ = std::make_shared<runtime::ThreadPool>(num_threads_);
     }
     auto fresh = std::make_shared<Engines>();
-    fresh->state = active_;
-    const io::Pipeline& pipeline = active_->pipeline();
+    fresh->state = state;
+    const io::Pipeline& pipeline = state->pipeline();
     if (pipeline.input() == io::PipelineInput::Text) {
       fresh->text_encoder.emplace(pipeline.batch_text_encoder(pool_));
     } else {
@@ -67,9 +72,9 @@ std::shared_ptr<const LocalPlane::Engines> LocalPlane::engines() {
     } else {
       fresh->regressor.emplace(pipeline.batch_regressor(pool_));
     }
-    engines_ = std::move(fresh);
+    slot = std::move(fresh);
   }
-  return engines_;
+  return slot;
 }
 
 AdaptiveStatePtr LocalPlane::adaptive_state() {
@@ -91,33 +96,10 @@ void LocalPlane::predict(const RowBatch& batch, HeadMode head, bool adapted,
         "LocalPlane::predict: the rows disagree with the pipeline's input "
         "mode");
   }
-  const std::size_t count = batch.rows.size() + batch.text_rows.size();
-  if (count == 0) {
+  if (batch.rows.empty() && batch.text_rows.empty()) {
     return;
   }
-  if (adapted) {
-    // The adapted side of the A/B: row-at-a-time through the overlay.
-    // Feedback is a low-rate refinement stream, so the adapted side trades
-    // batch throughput for the freshest model on every row.
-    const AdaptiveStatePtr state = adaptive_state();
-    for (std::size_t i = 0; i < count; ++i) {
-      if (head == HeadMode::Confidence) {
-        const Top2 top = text ? state->predict_top2_text(batch.text_rows[i])
-                              : state->predict_top2(batch.rows[i]);
-        out.values.push_back(static_cast<double>(top.best.index));
-        out.confidences.push_back(margin_confidence(top));
-        continue;
-      }
-      out.values.push_back(text ? state->predict_text(batch.text_rows[i])
-                                : state->predict(batch.rows[i]));
-      if (head == HeadMode::Band) {
-        out.bands.push_back(text ? state->predict_band_text(batch.text_rows[i])
-                                 : state->predict_band(batch.rows[i]));
-      }
-    }
-    return;
-  }
-  const std::shared_ptr<const Engines> e = engines();
+  const std::shared_ptr<const Engines> e = engines(adapted);
   const runtime::VectorArena encoded =
       text ? e->text_encoder->encode(batch.text_rows)
            : e->encoder->encode(batch.rows);

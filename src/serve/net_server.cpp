@@ -36,6 +36,10 @@ namespace {
 
 using clock = BatchLoop::clock;
 
+/// The longest unterminated line a connection may buffer; past it the line
+/// is answered like a malformed row and the connection closes.
+constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
 /// Shortest round-trip decimal of a double (the `!adapt` reply's predicted=
 /// field; classifier labels print as integers this way too).
 std::string format_double(double value) {
@@ -553,12 +557,15 @@ void NetServer::serve_connection_body(int fd) {
       loop.flush();
       break;
     }
+    // Everything already buffered was searched for '\n' by earlier reads.
+    std::size_t scan = inbuf.size();
     inbuf.append(chunk, static_cast<std::size_t>(got));
     std::size_t begin = 0;
     std::size_t newline;
-    while (open && (newline = inbuf.find('\n', begin)) != std::string::npos) {
+    while (open && (newline = inbuf.find('\n', scan)) != std::string::npos) {
       line.assign(inbuf, begin, newline - begin);
       begin = newline + 1;
+      scan = begin;
       if (!line.empty() && line.front() == '!') {
         open = handle_control(line);
         continue;
@@ -573,6 +580,13 @@ void NetServer::serve_connection_body(int fd) {
       }
     }
     inbuf.erase(0, begin);
+    if (open && inbuf.size() > kMaxLineBytes) {
+      loop.flush();
+      send_all(fd, "!error row " + std::to_string(reader.line_number() + 1) +
+                       ": line exceeds " + std::to_string(kMaxLineBytes) +
+                       " bytes\n");
+      open = false;
+    }
   }
 }
 

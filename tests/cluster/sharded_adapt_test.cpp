@@ -1,14 +1,16 @@
 // Online adaptation x sharding: `!adapt` feedback is broadcast to every
-// rank, each applies it to a deterministically-seeded rank-local overlay,
+// rank, each publishes a deterministically-seeded rank-local adapted model,
 // and the whole cluster must stay bit-identical to one single-process
-// AdaptiveState fed the same stream — outcomes, predictions, the exported
-// delta file, and the delta-reload path that promotes the adapted model.
+// AdaptiveState fed the same stream — outcomes, predictions in every head
+// mode and shard scheme, the exported delta file, and the delta-reload path
+// that promotes the adapted model.
 
 #ifndef _WIN32
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -17,6 +19,7 @@
 #include "cluster_test_util.hpp"
 #include "hdc/cluster/cluster.hpp"
 #include "hdc/serve/adaptive_state.hpp"
+#include "hdc/serve/local_plane.hpp"
 
 namespace {
 
@@ -155,6 +158,111 @@ TEST(ShardedAdaptTest, TextFeedbackMatchesSingleProcessOverlay) {
       EXPECT_EQ(heads.confidences[i], hdc::margin_confidence(top))
           << "row " << i;
     }
+  }
+}
+
+/// Every field of \p p flattened, so whole batches compare with ==.
+std::vector<double> flatten(const hdc::serve::Predictions& p) {
+  std::vector<double> out = p.values;
+  out.insert(out.end(), p.confidences.begin(), p.confidences.end());
+  for (const hdc::Band& band : p.bands) {
+    out.insert(out.end(), {band.p10, band.p50, band.p90});
+  }
+  return out;
+}
+
+TEST(ShardedAdaptTest, LoopbackRanksServeWhatTheLocalPlanePublishes) {
+  // Classifier (numeric and text) and regressor snapshots, each fed a
+  // poisoning stream: at 2 and 3 replicas under both schemes, the cluster
+  // must answer like the local plane's adapted side in every head mode.
+  // Under Classes this composes the published rows across rank slices.
+  using hdc::serve::HeadMode;
+  using hdc::serve::RowBatch;
+  const auto rows = testutil::classifier_rows(12);
+  const auto text = testutil::text_rows(12);
+  const auto band_rows = testutil::beijing_rows(12);
+  struct Case {
+    std::string path;
+    RowBatch batch;
+    std::vector<double> targets;
+    HeadMode head;
+  };
+  std::vector<Case> cases;
+  {
+    const std::string path =
+        testutil::write_classifier_snapshot("publish_numeric.hdcs", 3);
+    const auto base = hdc::io::load_pipeline(path);
+    std::vector<double> targets;
+    for (const auto& row : rows) {
+      targets.push_back(
+          static_cast<double>((base.pipeline.classify(row) + 1) % 3));
+    }
+    cases.push_back({path, {rows, {}}, targets, HeadMode::Confidence});
+  }
+  {
+    const std::string path =
+        testutil::write_text_snapshot("publish_text.hdcs", 3);
+    const auto base = hdc::io::load_pipeline(path);
+    std::vector<double> targets;
+    for (const std::string& row : text) {
+      targets.push_back(
+          static_cast<double>((base.pipeline.classify_text(row) + 1) % 3));
+    }
+    cases.push_back({path, {{}, text}, targets, HeadMode::Confidence});
+  }
+  {
+    const std::string path =
+        testutil::write_beijing_snapshot("publish_band.hdcs", 3);
+    const auto base = hdc::io::load_pipeline(path);
+    std::vector<double> targets;
+    for (const auto& row : band_rows) {
+      targets.push_back(base.pipeline.regress(row) < 10.0 ? 40.0 : -20.0);
+    }
+    cases.push_back({path, {band_rows, {}}, targets, HeadMode::Band});
+  }
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.path);
+    for (const ShardScheme scheme :
+         {ShardScheme::Rows, ShardScheme::Classes}) {
+      for (const std::size_t replicas : {2, 3}) {
+        SCOPED_TRACE(std::string(scheme == ShardScheme::Rows ? "rows"
+                                                             : "classes") +
+                     " x" + std::to_string(replicas));
+        ClusterOptions options;
+        options.replicas = replicas;
+        options.scheme = scheme;
+        ShardedServer server(c.path, options);
+        hdc::serve::LocalPlane local(
+            std::make_shared<const ServingState>(
+                hdc::io::load_pipeline(c.path), 0, c.path),
+            1);
+        std::uint64_t updates = 0;
+        for (std::size_t pass = 0; pass < 3; ++pass) {
+          for (std::size_t i = 0; i < c.targets.size(); ++i) {
+            const RowBatch one =
+                c.batch.rows.empty()
+                    ? RowBatch{{}, c.batch.text_rows.subspan(i, 1)}
+                    : RowBatch{c.batch.rows.subspan(i, 1), {}};
+            const AdaptOutcome got = server.adapt(c.targets[i], one);
+            const AdaptOutcome want = local.adapt(c.targets[i], one);
+            ASSERT_EQ(got.predicted, want.predicted) << "sample " << i;
+            ASSERT_EQ(got.updated, want.updated) << "sample " << i;
+            ASSERT_EQ(got.overlay_rows, want.overlay_rows) << "sample " << i;
+            updates = want.updates;
+          }
+        }
+        EXPECT_GT(updates, 0U);
+        for (const HeadMode head : {HeadMode::None, c.head}) {
+          hdc::serve::Predictions got;
+          hdc::serve::Predictions want;
+          server.predict(c.batch, head, false, got);
+          local.predict(c.batch, head, /*adapted=*/true, want);
+          EXPECT_EQ(flatten(got), flatten(want));
+        }
+      }
+    }
+    std::filesystem::remove(c.path);
   }
 }
 

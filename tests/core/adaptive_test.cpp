@@ -1,9 +1,10 @@
-// Property suite for the copy-on-write adaptation overlays: the
-// equivalences that make online learning over borrowed (mmap-backed)
-// models safe to serve.  Overlay == materialized model bit for bit,
-// borrowed base == owning base bit for bit, sharded slice scans compose to
-// the global argmin, and two replicas fed the same feedback stream build
-// bit-identical overlays (the cluster broadcast correctness condition).
+// Property suite for online adaptation over restored models: the
+// equivalences that make learning over borrowed (mmap-backed) models safe
+// to serve.  The published model is the base with exactly the changed rows
+// patched in, a published model never changes afterwards, borrowed base ==
+// owning base bit for bit, and two replicas fed the same feedback stream
+// publish bit-identical models (the cluster broadcast correctness
+// condition).
 
 #include "hdc/core/adaptive.hpp"
 
@@ -86,16 +87,8 @@ TEST(AdaptiveClassifierTest, UntouchedOverlayIsBitIdenticalToBase) {
   const AdaptiveClassifier overlay(pair.restored, kDefaultAdaptSeed);
   EXPECT_EQ(overlay.touched_classes(), 0U);
   EXPECT_TRUE(overlay.changed_rows().empty());
-  Rng rng(12);
-  for (int i = 0; i < 50; ++i) {
-    const auto query = Hypervector::random(kDim, rng);
-    EXPECT_EQ(overlay.predict(query), pair.restored->predict(query));
-  }
-  for (std::size_t c = 0; c < kClasses; ++c) {
-    const auto row = overlay.class_row(c);
-    const auto base = pair.restored->class_vector(c);
-    EXPECT_TRUE(std::equal(row.begin(), row.end(), base.words().begin()));
-  }
+  // Until an update changes something, the base itself is what serves.
+  EXPECT_EQ(overlay.model(), pair.restored);
 }
 
 TEST(AdaptiveClassifierTest, BorrowedAndOwningBasesBuildIdenticalOverlays) {
@@ -114,21 +107,32 @@ TEST(AdaptiveClassifierTest, BorrowedAndOwningBasesBuildIdenticalOverlays) {
   EXPECT_EQ(over_trained.updates(), over_restored.updates());
 }
 
-TEST(AdaptiveClassifierTest, OverlayPredictsBitIdenticallyToMaterialize) {
+TEST(AdaptiveClassifierTest, PublishedModelPatchesChangedRowsIntoTheBase) {
   const auto pair = make_classifier_pair(31);
   AdaptiveClassifier overlay(pair.restored, kDefaultAdaptSeed);
-  for (const auto& [label, sample] : feedback_stream(80, 32)) {
-    (void)overlay.adapt(label, sample);
+  const auto stream = feedback_stream(80, 32);
+  for (std::size_t i = 0; i < stream.size() / 2; ++i) {
+    (void)overlay.adapt(stream[i].first, stream[i].second);
   }
-  ASSERT_GT(overlay.touched_classes(), 0U);
-  const CentroidClassifier flat = overlay.materialize();
-  Rng rng(33);
-  for (int i = 0; i < 100; ++i) {
-    const auto query = Hypervector::random(kDim, rng);
-    EXPECT_EQ(overlay.predict(query), flat.predict(query));
+  ASSERT_GT(overlay.updates(), 0U);
+  // A published model is immutable: later updates publish a new one and
+  // leave every model already handed out as it was.
+  const auto held = overlay.model();
+  const auto held_words = held->packed_class_words();
+  const std::vector<std::uint64_t> before(held_words.begin(),
+                                          held_words.end());
+  const std::uint64_t updates = overlay.updates();
+  for (std::size_t i = stream.size() / 2; i < stream.size(); ++i) {
+    (void)overlay.adapt(stream[i].first, stream[i].second);
   }
-  // The materialized arena carries overlay rows where touched and base rows
-  // everywhere else.
+  ASSERT_GT(overlay.updates(), updates);
+  EXPECT_NE(overlay.model(), held);
+  EXPECT_TRUE(std::equal(before.begin(), before.end(),
+                         held->packed_class_words().begin()));
+
+  // The published arena carries the changed rows where touched and base
+  // rows everywhere else.
+  const CentroidClassifier& flat = *overlay.model();
   const auto changed = overlay.changed_rows();
   for (std::size_t c = 0; c < kClasses; ++c) {
     const auto row = flat.class_vector(c);
@@ -146,34 +150,6 @@ TEST(AdaptiveClassifierTest, OverlayPredictsBitIdenticallyToMaterialize) {
   }
 }
 
-TEST(AdaptiveClassifierTest, NearestInSliceComposesToPredict) {
-  const auto pair = make_classifier_pair(41);
-  AdaptiveClassifier overlay(pair.restored, kDefaultAdaptSeed);
-  for (const auto& [label, sample] : feedback_stream(40, 42)) {
-    (void)overlay.adapt(label, sample);
-  }
-  Rng rng(43);
-  // Every 2-way split of the class range: the lexicographic minimum over
-  // the per-slice results must equal the global argmin with its
-  // lowest-index tie-break — the Classes-scheme shard reduction.
-  for (int i = 0; i < 40; ++i) {
-    const auto query = Hypervector::random(kDim, rng);
-    const std::size_t expected = overlay.predict(query);
-    for (std::size_t cut = 1; cut < kClasses; ++cut) {
-      const auto left = overlay.nearest_in_slice(query, 0, cut);
-      const auto right = overlay.nearest_in_slice(query, cut, kClasses);
-      const auto best = std::min(left, right);
-      EXPECT_EQ(best.second, expected) << "cut " << cut;
-    }
-  }
-  EXPECT_THROW((void)overlay.nearest_in_slice(
-                   Hypervector::random(kDim, rng), 2, 2),
-               std::invalid_argument);
-  EXPECT_THROW((void)overlay.nearest_in_slice(
-                   Hypervector::random(kDim, rng), 0, kClasses + 1),
-               std::invalid_argument);
-}
-
 TEST(AdaptiveClassifierTest, ReplicasWithSameSeedAreBitIdentical) {
   const auto pair = make_classifier_pair(51);
   AdaptiveClassifier rank0(pair.restored, kDefaultAdaptSeed);
@@ -182,6 +158,10 @@ TEST(AdaptiveClassifierTest, ReplicasWithSameSeedAreBitIdentical) {
     EXPECT_EQ(rank0.adapt(label, sample), rank1.adapt(label, sample));
   }
   EXPECT_EQ(rank0.changed_rows(), rank1.changed_rows());
+  const auto words0 = rank0.model()->packed_class_words();
+  const auto words1 = rank1.model()->packed_class_words();
+  EXPECT_TRUE(std::equal(words0.begin(), words0.end(), words1.begin(),
+                         words1.end()));
   EXPECT_EQ(rank0.feedback_rows(), rank1.feedback_rows());
   EXPECT_EQ(rank0.updates(), rank1.updates());
 }
@@ -195,17 +175,13 @@ TEST(AdaptiveClassifierTest, ResetRestoresTheBase) {
   ASSERT_GT(overlay.touched_classes(), 0U);
   overlay.reset();
   EXPECT_EQ(overlay.touched_classes(), 0U);
-  Rng rng(63);
-  for (int i = 0; i < 30; ++i) {
-    const auto query = Hypervector::random(kDim, rng);
-    EXPECT_EQ(overlay.predict(query), pair.restored->predict(query));
-  }
+  EXPECT_EQ(overlay.model(), pair.restored);
 }
 
 TEST(AdaptiveClassifierTest, AdaptRepairsAPoisonedRestoredModel) {
   // The tentpole scenario: a restored (inference-only) model with a bad
   // class boundary, which before this PR could not adapt at all.  Feedback
-  // through the overlay must repair it without touching the base.
+  // through the adapter must repair it without touching the base.
   Rng rng(71);
   const auto proto_a = Hypervector::random(kDim, rng);
   const auto proto_b = Hypervector::random(kDim, rng);
@@ -229,7 +205,8 @@ TEST(AdaptiveClassifierTest, AdaptRepairsAPoisonedRestoredModel) {
   std::size_t wrong_before = 0;
   for (int i = 0; i < 50; ++i) {
     wrong_before +=
-        overlay.predict(hdc::flip_random_bits(proto_a, kDim / 12, rng)) != 0
+        overlay.model()->predict(
+            hdc::flip_random_bits(proto_a, kDim / 12, rng)) != 0
             ? 1U
             : 0U;
   }
@@ -242,7 +219,8 @@ TEST(AdaptiveClassifierTest, AdaptRepairsAPoisonedRestoredModel) {
   std::size_t wrong_after = 0;
   for (int i = 0; i < 50; ++i) {
     wrong_after +=
-        overlay.predict(hdc::flip_random_bits(proto_a, kDim / 12, rng)) != 0
+        overlay.model()->predict(
+            hdc::flip_random_bits(proto_a, kDim / 12, rng)) != 0
             ? 1U
             : 0U;
   }
@@ -304,12 +282,8 @@ TEST(AdaptiveRegressorTest, UntouchedOverlayMatchesBaseAndAdaptsInPlace) {
   AdaptiveRegressor overlay(pair.restored, kDefaultAdaptSeed);
   EXPECT_FALSE(overlay.touched());
   EXPECT_TRUE(overlay.changed_rows().empty());
+  EXPECT_EQ(overlay.model(), pair.restored);
   const auto& labels = pair.restored->labels();
-  for (int k = 0; k < 16; ++k) {
-    const double x = static_cast<double>(k) / 15.0;
-    EXPECT_DOUBLE_EQ(overlay.predict(labels.encode(x)),
-                     pair.restored->predict(labels.encode(x)));
-  }
   // Drive feedback toward a shifted target curve until an update fires.
   for (int k = 0; k < 48; ++k) {
     const double x = static_cast<double>(k % 16) / 15.0;
@@ -322,7 +296,7 @@ TEST(AdaptiveRegressorTest, UntouchedOverlayMatchesBaseAndAdaptsInPlace) {
   EXPECT_EQ(changed.begin()->first, 0U);
 }
 
-TEST(AdaptiveRegressorTest, OverlayPredictsBitIdenticallyToMaterialize) {
+TEST(AdaptiveRegressorTest, PublishedModelIsTheChangedRow) {
   const auto pair = make_regressor_pair(91);
   AdaptiveRegressor overlay(pair.restored, kDefaultAdaptSeed);
   const auto& labels = pair.restored->labels();
@@ -331,16 +305,15 @@ TEST(AdaptiveRegressorTest, OverlayPredictsBitIdenticallyToMaterialize) {
     (void)overlay.adapt(labels.encode(x), 1.0 - x);
   }
   ASSERT_TRUE(overlay.touched());
-  const HDRegressor flat = overlay.materialize();
-  for (int k = 0; k < 32; ++k) {
-    const double x = static_cast<double>(k) / 31.0;
-    EXPECT_DOUBLE_EQ(overlay.predict(labels.encode(x)),
-                     flat.predict(labels.encode(x)));
-  }
-  const auto flat_words = flat.model().words();
-  const auto overlay_words = overlay.model_words();
-  EXPECT_TRUE(std::equal(overlay_words.begin(), overlay_words.end(),
-                         flat_words.begin()));
+  // The published regressor is the changed row over the base's label
+  // encoder: the model a delta reload of changed_rows() restores.
+  const auto changed = overlay.changed_rows();
+  ASSERT_EQ(changed.size(), 1U);
+  const auto words = overlay.model()->model().words();
+  EXPECT_TRUE(std::equal(words.begin(), words.end(),
+                         changed.at(0).begin(), changed.at(0).end()));
+  EXPECT_EQ(&overlay.model()->labels(), &labels);
+  EXPECT_TRUE(overlay.model()->finalized());
 }
 
 TEST(AdaptiveRegressorTest, BorrowedAndOwningBasesBuildIdenticalOverlays) {
@@ -368,11 +341,7 @@ TEST(AdaptiveRegressorTest, ResetRestoresTheBase) {
   ASSERT_TRUE(overlay.touched());
   overlay.reset();
   EXPECT_FALSE(overlay.touched());
-  for (int k = 0; k < 16; ++k) {
-    const double x = static_cast<double>(k) / 15.0;
-    EXPECT_DOUBLE_EQ(overlay.predict(labels.encode(x)),
-                     pair.restored->predict(labels.encode(x)));
-  }
+  EXPECT_EQ(overlay.model(), pair.restored);
 }
 
 }  // namespace

@@ -53,12 +53,12 @@ std::span<const std::byte> as_bytes(const std::string& bytes) {
 }
 
 /// Base classifier-pipeline snapshot + an adapted twin produced by a
-/// deterministic overlay feedback pass — the canonical delta scenario.
+/// deterministic feedback pass — the canonical delta scenario.
 struct AdaptScenario {
   std::string base_path;
   fixtures::ClassifierPipeline models;
   std::map<std::size_t, std::vector<std::uint64_t>> changed;
-  CentroidClassifier adapted;  // materialized overlay
+  CentroidClassifier adapted;  // the published adapted model
 
   explicit AdaptScenario(const std::string& tag)
       : models(fixtures::make_classifier_pipeline()),
@@ -81,7 +81,7 @@ struct AdaptScenario {
       ++fed;
     }
     changed = overlay.changed_rows();
-    adapted = overlay.materialize();
+    adapted = *overlay.model();
   }
 };
 

@@ -1,28 +1,39 @@
-// AdaptiveState: the serving-side overlay behind `!adapt` / `!use` /
+// AdaptiveState: the serving-side adaptation behind `!adapt` / `!use` /
 // `!delta`.  Feedback over a pinned (mmapped) generation must leave the
 // base bit-identical, the exported delta must restore the adapted model
 // exactly through the reload path, and every malformed feedback row must be
-// rejected without touching the overlay.
+// rejected without touching the published model.  LocalPlane's adapted
+// side must serve, through its batch engines and in every head mode,
+// exactly what a fresh restore of base + exported delta answers, and
+// concurrent adapted batches must each see one whole published model.
 
 #include "hdc/serve/adaptive_state.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "hdc/io/fixture_models.hpp"
 #include "hdc/io/io.hpp"
+#include "hdc/serve/local_plane.hpp"
 
 namespace {
 
 using hdc::io::SnapshotWriter;
 using hdc::serve::AdaptiveState;
 using hdc::serve::AdaptOutcome;
+using hdc::serve::HeadMode;
+using hdc::serve::LocalPlane;
+using hdc::serve::Predictions;
+using hdc::serve::RowBatch;
 using hdc::serve::ServingState;
 using hdc::serve::ServingStatePtr;
 namespace fixtures = hdc::io::fixtures;
@@ -213,6 +224,256 @@ TEST(AdaptiveStateTest, ExportAgainstTheWrongBaseIsRejected) {
                hdc::io::SnapshotError);
   std::filesystem::remove(path);
   std::filesystem::remove(other);
+}
+
+TEST(AdaptiveStateTest, PublishedStateSharesTheBaseGeneration) {
+  const std::string path = write_classifier("publish.hdcs");
+  const ServingStatePtr base = pin(path);
+  AdaptiveState state(base);
+  EXPECT_EQ(state.published(), base);
+  adapt_until_touched(state, 3);
+  const ServingStatePtr published = state.published();
+  ASSERT_NE(published, base);
+  // Adaptation publishes a model, not a generation: same number, same
+  // source, same encoders, only the model section differs.
+  EXPECT_EQ(published->generation(), base->generation());
+  EXPECT_EQ(published->source_path(), base->source_path());
+  EXPECT_EQ(published->pipeline().feature_encoder(),
+            base->pipeline().feature_encoder());
+  EXPECT_NE(&published->pipeline().classifier(),
+            &base->pipeline().classifier());
+  state.reset();
+  EXPECT_EQ(state.published(), base);
+  std::filesystem::remove(path);
+}
+
+std::string write_text(const std::string& name) {
+  const std::string path = temp_file(name);
+  fixtures::TextPipeline models = fixtures::make_text_pipeline();
+  SnapshotWriter writer;
+  writer.add_pipeline(models.encoder, models.model);
+  writer.write_file(path);
+  return path;
+}
+
+/// One snapshot shape the adapted side serves: 64 probe rows (numeric or
+/// text), a poisoning feedback target per row, and the kind's head.
+struct Scenario {
+  std::string name;
+  std::string path;
+  std::vector<std::vector<double>> rows;
+  std::vector<std::string> text_rows;
+  std::vector<double> targets;
+  HeadMode head = HeadMode::None;
+
+  [[nodiscard]] std::size_t size() const {
+    return rows.size() + text_rows.size();
+  }
+  [[nodiscard]] RowBatch batch(std::size_t begin, std::size_t end) const {
+    if (!text_rows.empty()) {
+      return {{}, std::span(text_rows).subspan(begin, end - begin)};
+    }
+    return {std::span(rows).subspan(begin, end - begin), {}};
+  }
+};
+
+constexpr std::size_t kProbeRows = 64;
+
+/// Classifier (numeric and text) and regressor scenarios; each target
+/// insists on the wrong answer so the adapted model drifts from the base.
+std::vector<Scenario> scenarios() {
+  std::vector<Scenario> out;
+  Scenario numeric;
+  numeric.name = "classifier";
+  numeric.path = write_classifier("plane_numeric.hdcs");
+  Scenario text;
+  text.name = "text";
+  text.path = write_text("plane_text.hdcs");
+  Scenario band;
+  band.name = "regressor";
+  band.path = write_beijing("plane_regressor.hdcs");
+  const auto base_numeric = hdc::io::load_pipeline(numeric.path);
+  const auto base_text = hdc::io::load_pipeline(text.path);
+  const auto base_band = hdc::io::load_pipeline(band.path);
+  const char* vocab[] = {"lo vo miri", "zu ka pelo tir", "anda vestri olm",
+                         "tir tir", "zz"};
+  for (std::size_t i = 0; i < kProbeRows; ++i) {
+    numeric.rows.push_back(classifier_row(i));
+    numeric.targets.push_back(static_cast<double>(
+        (base_numeric.pipeline.classify(numeric.rows.back()) + 1) % 3));
+    text.text_rows.push_back(std::string(vocab[i % 5]) + " " +
+                             std::to_string(i % 7));
+    text.targets.push_back(static_cast<double>(
+        (base_text.pipeline.classify_text(text.text_rows.back()) + 1) % 3));
+    band.rows.push_back({static_cast<double>(i % 5),
+                         static_cast<double>((i * 53) % 366),
+                         0.5 * static_cast<double>((i * 7) % 48)});
+    band.targets.push_back(
+        base_band.pipeline.regress(band.rows.back()) < 10.0 ? 40.0 : -20.0);
+  }
+  numeric.head = HeadMode::Confidence;
+  text.head = HeadMode::Confidence;
+  band.head = HeadMode::Band;
+  out.push_back(std::move(numeric));
+  out.push_back(std::move(text));
+  out.push_back(std::move(band));
+  return out;
+}
+
+/// Row-order answers of \p pipeline over the scenario's rows, with the
+/// scenario's head columns when \p head is set.
+Predictions oracle(const hdc::io::Pipeline& pipeline, const Scenario& sc,
+                   HeadMode head) {
+  Predictions out;
+  for (std::size_t i = 0; i < sc.size(); ++i) {
+    const hdc::Hypervector encoded =
+        sc.text_rows.empty() ? pipeline.encode(sc.rows[i])
+                             : pipeline.encode_text(sc.text_rows[i]);
+    if (pipeline.kind() == hdc::io::PipelineKind::Classifier) {
+      const hdc::Top2 top = pipeline.classifier().predict_top2(encoded);
+      out.values.push_back(static_cast<double>(top.best.index));
+      if (head == HeadMode::Confidence) {
+        out.confidences.push_back(hdc::margin_confidence(top));
+      }
+    } else {
+      out.values.push_back(pipeline.regressor().predict(encoded));
+      if (head == HeadMode::Band) {
+        out.bands.push_back(pipeline.regressor().predict_band(encoded));
+      }
+    }
+  }
+  return out;
+}
+
+void append(Predictions& to, const Predictions& from) {
+  to.values.insert(to.values.end(), from.values.begin(), from.values.end());
+  to.confidences.insert(to.confidences.end(), from.confidences.begin(),
+                        from.confidences.end());
+  to.bands.insert(to.bands.end(), from.bands.begin(), from.bands.end());
+}
+
+/// Every field of \p p flattened, so whole batches compare with ==.
+std::vector<double> flatten(const Predictions& p) {
+  std::vector<double> out = p.values;
+  out.insert(out.end(), p.confidences.begin(), p.confidences.end());
+  for (const hdc::Band& band : p.bands) {
+    out.insert(out.end(), {band.p10, band.p50, band.p90});
+  }
+  return out;
+}
+
+TEST(AdaptedPlaneTest, ServesTheExportedDeltaInEveryHeadModeAndBatchSize) {
+  for (const Scenario& sc : scenarios()) {
+    SCOPED_TRACE(sc.name);
+    LocalPlane plane(pin(sc.path), 2);
+    for (std::size_t pass = 0; pass < 3; ++pass) {
+      for (std::size_t i = 0; i < sc.size(); ++i) {
+        (void)plane.adapt(sc.targets[i], sc.batch(i, i + 1));
+      }
+    }
+
+    // The oracle: a fresh restore of base + the exported delta.
+    const std::string delta = temp_file(sc.name + ".delta.hdcs");
+    const std::string patched = temp_file(sc.name + ".patched.hdcs");
+    ASSERT_GT(plane.export_delta(delta), 0U);
+    hdc::io::apply_delta_file(sc.path, delta, patched);
+    const auto fresh = hdc::io::load_pipeline(patched);
+    const auto base = hdc::io::load_pipeline(sc.path);
+    ASSERT_NE(oracle(fresh.pipeline, sc, HeadMode::None).values,
+              oracle(base.pipeline, sc, HeadMode::None).values)
+        << "poisoned feedback left the model unchanged";
+
+    for (const HeadMode head : {HeadMode::None, sc.head}) {
+      const std::vector<double> want =
+          flatten(oracle(fresh.pipeline, sc, head));
+      const std::vector<double> base_want =
+          flatten(oracle(base.pipeline, sc, head));
+      for (const std::size_t size : {1, 7, 64}) {
+        SCOPED_TRACE("batch " + std::to_string(size));
+        Predictions all;
+        Predictions all_base;
+        Predictions out;
+        for (std::size_t begin = 0; begin < sc.size(); begin += size) {
+          const RowBatch batch =
+              sc.batch(begin, std::min(begin + size, sc.size()));
+          plane.predict(batch, head, /*adapted=*/true, out);
+          append(all, out);
+          plane.predict(batch, head, /*adapted=*/false, out);
+          append(all_base, out);
+        }
+        EXPECT_EQ(flatten(all), want);
+        EXPECT_EQ(flatten(all_base), base_want);
+      }
+    }
+    for (const auto& file : {sc.path, delta, patched}) {
+      std::filesystem::remove(file);
+    }
+  }
+}
+
+TEST(AdaptedPlaneTest, ConcurrentAdaptedBatchesEachSeeOnePublishedModel) {
+  for (const Scenario& sc : scenarios()) {
+    SCOPED_TRACE(sc.name);
+    constexpr std::size_t kPasses = 3;
+    // Every model the stream publishes, replayed in private: each adapted
+    // batch served while the stream runs must equal one of them.
+    std::vector<std::vector<double>> published;
+    {
+      LocalPlane replay(pin(sc.path), 1);
+      Predictions out;
+      replay.predict(sc.batch(0, sc.size()), sc.head, true, out);
+      published.push_back(flatten(out));
+      for (std::size_t pass = 0; pass < kPasses; ++pass) {
+        for (std::size_t i = 0; i < sc.size(); ++i) {
+          if (replay.adapt(sc.targets[i], sc.batch(i, i + 1)).updated) {
+            replay.predict(sc.batch(0, sc.size()), sc.head, true, out);
+            published.push_back(flatten(out));
+          }
+        }
+      }
+    }
+    ASSERT_GT(published.size(), 1U);
+
+    LocalPlane plane(pin(sc.path), 2);
+    std::atomic<bool> done{false};
+    std::atomic<std::size_t> batches{0};
+    std::atomic<std::size_t> torn{0};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < 2; ++t) {
+      readers.emplace_back([&] {
+        Predictions out;
+        do {
+          plane.predict(sc.batch(0, sc.size()), sc.head, true, out);
+          const std::vector<double> got = flatten(out);
+          if (std::find(published.begin(), published.end(), got) ==
+              published.end()) {
+            torn.fetch_add(1);
+          }
+          batches.fetch_add(1);
+        } while (!done.load());
+      });
+    }
+    // Wait for a batch after every update, so the readers interleave with
+    // the whole stream instead of racing past it.
+    for (std::size_t pass = 0; pass < kPasses; ++pass) {
+      for (std::size_t i = 0; i < sc.size(); ++i) {
+        (void)plane.adapt(sc.targets[i], sc.batch(i, i + 1));
+        const std::size_t seen = batches.load();
+        while (batches.load() == seen) {
+          std::this_thread::yield();
+        }
+      }
+    }
+    done.store(true);
+    for (std::thread& reader : readers) {
+      reader.join();
+    }
+    EXPECT_EQ(torn.load(), 0U) << "of " << batches.load() << " batches";
+    Predictions last;
+    plane.predict(sc.batch(0, sc.size()), sc.head, true, last);
+    EXPECT_EQ(flatten(last), published.back());
+    std::filesystem::remove(sc.path);
+  }
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 // sequential oracle, the zero-downtime hot-swap protocol (every prediction
 // a client ever sees is bit-identical to one of the two generations —
 // never torn, never dropped), reload rejection leaving the incumbent
-// serving, per-connection error isolation, the SIGHUP-style async reload,
-// unix-domain sockets, control commands, and the poll-deadline flush bound.
+// serving, per-connection error isolation (malformed and over-long lines),
+// the SIGHUP-style async reload, unix-domain sockets, control commands,
+// adapted-side heads, and the poll-deadline flush bound.
 
 #include <gtest/gtest.h>
 
@@ -428,6 +429,40 @@ TEST(NetServerTest, MalformedRowClosesOnlyThatConnection) {
   std::filesystem::remove(path);
 }
 
+TEST(NetServerTest, OverlongLineClosesOnlyThatConnection) {
+  const std::string path = write_beijing("overlong.hdcs", 2023);
+  const auto rows = beijing_rows(4);
+  const auto expected = oracle_lines(path, rows);
+
+  RunningServer running(path, NetServerOptions{});
+  Client bystander(running.server.port());
+  Client bad(running.server.port());
+
+  // Rows before the unterminated line are served; past 1 MiB the line is
+  // answered like a malformed row and the connection closes.
+  bad.send(as_csv({rows[0], rows[1]}));
+  bad.send(std::string((std::size_t{1} << 20) + 1, '7'));
+  auto line = bad.read_line();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_EQ(*line, expected[0]);
+  line = bad.read_line();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_EQ(*line, expected[1]);
+  line = bad.read_line();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_EQ(*line, "!error row 3: line exceeds 1048576 bytes");
+  EXPECT_FALSE(bad.read_line().has_value());  // closed
+
+  bystander.send(as_csv(rows));
+  bystander.shutdown_write();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    line = bystander.read_line();
+    ASSERT_TRUE(line.has_value());
+    EXPECT_EQ(*line, expected[i]) << "row " << i;
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(NetServerTest, UnixSocketServesAndControlCommandsAnswer) {
   const std::string path = write_beijing("unix.hdcs", 2023);
   const auto rows = beijing_rows(5);
@@ -697,6 +732,103 @@ TEST(NetServerTest, AdaptDeltaAndABServingRoundTrip) {
   for (const auto& file : {base_path, delta_path, patched_path, delta2_path,
                            patched2_path}) {
     std::filesystem::remove(file);
+  }
+}
+
+/// Plain-format lines of \p rows through \p snapshot_path with \p head: a
+/// confidence per classifier row or a band per regressor row.
+std::vector<std::string> head_oracle_lines(
+    const std::string& snapshot_path,
+    const std::vector<std::vector<double>>& rows, hdc::serve::HeadMode head) {
+  const auto snapshot = MappedSnapshot::open(snapshot_path);
+  const Pipeline pipeline = Pipeline::restore(snapshot);
+  std::ostringstream out;
+  PredictionWriter writer(out, OutputFormat::Plain, /*with_latency=*/false,
+                          head);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const hdc::Hypervector encoded = pipeline.encode(rows[i]);
+    if (head == hdc::serve::HeadMode::Confidence) {
+      const hdc::Top2 top = pipeline.classifier().predict_top2(encoded);
+      writer.write_class(i, top.best.index, hdc::margin_confidence(top), 0.0);
+    } else {
+      writer.write_band(i, pipeline.regressor().predict(encoded),
+                        pipeline.regressor().predict_band(encoded), 0.0);
+    }
+  }
+  std::vector<std::string> lines;
+  std::istringstream split(out.str());
+  std::string line;
+  while (std::getline(split, line)) {
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+TEST(NetServerTest, AdaptedSideServesHeadsOfThePatchedSnapshot) {
+  // `!use adapted` with a head on the wire: after a poisoning `!adapt`
+  // stream, the adapted rows must carry exactly the heads a fresh restore
+  // of base + the exported delta gives — a classifier with confidence and
+  // a regressor with bands.
+  struct Case {
+    std::string path;
+    std::vector<std::vector<double>> rows;
+    hdc::serve::HeadMode head;
+  };
+  const std::vector<Case> cases = {
+      {write_classifier("head_adapt_classifier.hdcs"), classifier_rows(10),
+       hdc::serve::HeadMode::Confidence},
+      {write_beijing("head_adapt_regressor.hdcs", 2023), beijing_rows(10),
+       hdc::serve::HeadMode::Band}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.path);
+    const auto base_snapshot = MappedSnapshot::open(c.path);
+    const Pipeline base = Pipeline::restore(base_snapshot);
+    NetServerOptions options;
+    options.head = c.head;
+    options.batch_size = 4;  // never divides 10: partial tail batch
+    RunningServer running(c.path, options);
+    Client client(running.server.port());
+
+    for (std::size_t pass = 0; pass < 8; ++pass) {
+      for (std::size_t i = 0; i < c.rows.size(); ++i) {
+        const double wrong =
+            c.head == hdc::serve::HeadMode::Confidence
+                ? static_cast<double>((base.classify(c.rows[i]) + 1) % 3)
+                : (base.regress(c.rows[i]) < 10.0 ? 40.0 : -20.0);
+        std::string row = as_csv({c.rows[i]});
+        row.pop_back();  // as_csv ends every row with '\n'
+        client.send("!adapt " + std::to_string(wrong) + " " + row + "\n");
+        const auto line = client.read_line();
+        ASSERT_TRUE(line.has_value());
+        ASSERT_EQ(line->rfind("!ok adapt predicted=", 0), 0U) << *line;
+      }
+    }
+    const std::string delta_path = temp_file("head_adapt.delta.hdcs");
+    client.send("!delta " + delta_path + "\n");
+    auto line = client.read_line();
+    ASSERT_TRUE(line.has_value());
+    ASSERT_EQ(line->rfind("!ok delta rows=", 0), 0U) << *line;
+    const std::string patched_path = temp_file("head_adapt.patched.hdcs");
+    hdc::io::apply_delta_file(c.path, delta_path, patched_path);
+    const auto adapted = head_oracle_lines(patched_path, c.rows, c.head);
+    ASSERT_NE(adapted, head_oracle_lines(c.path, c.rows, c.head))
+        << "poisoned feedback left the model unchanged";
+
+    client.send("!use adapted\n");
+    line = client.read_line();
+    ASSERT_TRUE(line.has_value());
+    EXPECT_EQ(*line, "!ok use adapted");
+    client.send(as_csv(c.rows));
+    client.shutdown_write();
+    for (std::size_t i = 0; i < c.rows.size(); ++i) {
+      line = client.read_line();
+      ASSERT_TRUE(line.has_value()) << "dropped row " << i;
+      EXPECT_EQ(*line, adapted[i]) << "row " << i;
+    }
+    EXPECT_FALSE(client.read_line().has_value());
+    for (const auto& file : {c.path, delta_path, patched_path}) {
+      std::filesystem::remove(file);
+    }
   }
 }
 
