@@ -5,6 +5,8 @@
 
 #include <memory>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "hdc/core/basis_circular.hpp"
@@ -91,6 +93,25 @@ void BM_SequenceEncodeWord(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SequenceEncodeWord);
+
+void BM_NGramEncodeText(benchmark::State& state) {
+  // The served text row: trigram windows of a line of state.range(0) bytes
+  // (42 is the mean text row, 1,024 the longest), warmed and const as the
+  // serving path calls it.
+  hdc::NGramEncoder encoder(kDim, 3, 7);
+  encoder.warm_bytes();
+  const hdc::NGramEncoder& frozen = encoder;
+  std::string text;
+  const std::string_view words = "the quick brown fox jumps over a dog ";
+  while (text.size() < static_cast<std::size_t>(state.range(0))) {
+    text += words[text.size() % words.size()];
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(frozen.encode(text));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_NGramEncodeText)->Arg(42)->Arg(1'024);
 
 void BM_ClassifierPredict15(benchmark::State& state) {
   // Table 1 inference: distance to 15 class-vectors.

@@ -942,6 +942,15 @@ void report_serve_latency() {
 }
 #endif  // !defined(_WIN32)
 
+// Position-weighted checksum of a packed row: a wrong bit anywhere moves it.
+std::uint64_t row_checksum(std::span<const std::uint64_t> row) {
+  std::uint64_t sum = 0;
+  for (std::size_t w = 0; w < row.size(); ++w) {
+    sum += row[w] * (w + 1);
+  }
+  return sum;
+}
+
 // The [kernel-bundle] workload: every row of \p rows accumulated into one
 // counter row with alternating +1/-1 weights (even count, so many counters
 // end at an exact-zero tie), then one threshold against \p tie.  Both
@@ -969,9 +978,7 @@ BundleChecksums bundle_checksums(const hdc::bits::Kernels& kernels,
   for (std::size_t i = 0; i < dim; ++i) {
     sums.counters += static_cast<std::uint64_t>(counters[i]) * (i + 1);
   }
-  for (std::size_t w = 0; w < words; ++w) {
-    sums.threshold += out[w] * (w + 1);
-  }
+  sums.threshold = row_checksum(out);
   return sums;
 }
 
@@ -989,6 +996,8 @@ bool report_kernel_microbench() {
   constexpr std::size_t kNearestQueries = 1'024;
   constexpr std::size_t kBundleRows = 512;  // 1.3 MiB of rows at d = 10240
   constexpr std::size_t kThresholds = 1'024;
+  constexpr std::size_t kMajorityInputs = 18;  // bound pairs per bundle
+  constexpr std::size_t kMajorities = 2'048;
   constexpr int kRepeats = 3;
   using clock = std::chrono::steady_clock;
 
@@ -1030,6 +1039,27 @@ bool report_kernel_microbench() {
   }
   const BundleChecksums expected_bundle =
       bundle_checksums(scalar, bundle_rows, tie, kDim);
+  // The [kernel-bundle] majority row bundles the Table 1 sample shape, 18
+  // bound key-value pairs (bundle rows 2i and 2i + 1), in one pass.  Its
+  // oracle: the pairs XORed into rows, accumulated and thresholded by the
+  // scalar variant.
+  std::vector<const std::uint64_t*> pair_rows(2 * kMajorityInputs);
+  std::vector<std::int32_t> pair_counters(kDim, 0);
+  std::vector<std::uint64_t> bound(kWords);
+  for (std::size_t i = 0; i < pair_rows.size(); ++i) {
+    pair_rows[i] = bundle_rows.data() + i * kWords;
+  }
+  for (std::size_t i = 0; i < kMajorityInputs; ++i) {
+    scalar.xor_rows(bound.data(), pair_rows[2 * i], pair_rows[2 * i + 1],
+                    kWords);
+    scalar.accumulate(pair_counters.data(), bound.data(), kDim, 1);
+  }
+  scalar.threshold(pair_counters.data(), tie.data(), bound.data(), kDim);
+  const std::uint64_t expected_majority = row_checksum(bound);
+  hdc::bits::MajorityInputs pairs;
+  pairs.rows = pair_rows.data();
+  pairs.count = kMajorityInputs;
+  pairs.terms = 2;
 
   const std::string previous = hdc::bits::active_kernels().name;
   bool all_ok = true;
@@ -1037,6 +1067,7 @@ bool report_kernel_microbench() {
   double best_rows_per_second = 0.0;
   double best_adds_per_second = 0.0;
   double best_thresholds_per_second = 0.0;
+  double best_majorities_per_second = 0.0;
   const char* best_gbps_variant = "none";
   const char* best_rows_variant = "none";
   const char* best_bundle_variant = "none";
@@ -1049,6 +1080,9 @@ bool report_kernel_microbench() {
   std::printf("[kernel-bundle] d=%zu rows=%zu thresholds=%zu (accumulate + "
               "threshold, self-checked vs scalar)\n",
               kDim, kBundleRows, kThresholds);
+  std::printf("[kernel-bundle] majority: n=%zu bound pairs x %zu bundles "
+              "(one pass, self-checked vs scalar accumulate + threshold)\n",
+              kMajorityInputs, kMajorities);
   for (const hdc::bits::Kernels* variant : hdc::bits::available_kernels()) {
     hdc::bits::select_kernels(variant->name);
 
@@ -1154,7 +1188,35 @@ bool report_kernel_microbench() {
       best_thresholds_per_second =
           std::max(best_thresholds_per_second, thresholds_per_second);
     }
-    all_ok = all_ok && hamming_ok && nearest_ok && bundle_ok;
+
+    // --- majority: one-pass bundles of the 18 bound pairs per second, best
+    // of N; the checksum from a separate call.
+    std::fill(out.begin(), out.end(), ~0ULL);
+    variant->majority(&pairs, tie.data(), out.data(), kDim);
+    const bool majority_ok = row_checksum(out) == expected_majority;
+    double majority_seconds = 1e100;
+    for (int repeat = 0; repeat < kRepeats; ++repeat) {
+      const auto start = clock::now();
+      for (std::size_t m = 0; m < kMajorities; ++m) {
+        hdc::bits::majority(pairs, tie, out, kDim);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+      }
+      majority_seconds = std::min(
+          majority_seconds,
+          std::chrono::duration<double>(clock::now() - start).count());
+    }
+    const double majorities_per_second =
+        static_cast<double>(kMajorities) / majority_seconds;
+    std::printf("[kernel-bundle] variant=%-6s majorities_per_second=%9.0f "
+                "self-check=%s\n",
+                variant->name, majorities_per_second,
+                majority_ok ? "ok" : "FAIL");
+    if (majority_ok) {
+      best_majorities_per_second =
+          std::max(best_majorities_per_second, majorities_per_second);
+    }
+    all_ok = all_ok && hamming_ok && nearest_ok && bundle_ok && majority_ok;
   }
   hdc::bits::select_kernels(previous);
 
@@ -1168,6 +1230,8 @@ bool report_kernel_microbench() {
               best_adds_per_second);
   std::printf("[kernel-bundle] best_thresholds_per_second: %.0f\n",
               best_thresholds_per_second);
+  std::printf("[kernel-bundle] best_majorities_per_second: %.0f\n",
+              best_majorities_per_second);
   std::printf("[kernel-selfcheck] pass: %d\n", all_ok ? 1 : 0);
   return all_ok;
 }

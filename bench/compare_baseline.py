@@ -37,6 +37,9 @@ METRIC_PATTERNS = {
     "kernel_bundle_best_thresholds_per_second":
         re.compile(
             r"\[kernel-bundle\] best_thresholds_per_second:\s*([0-9.]+)"),
+    "kernel_bundle_best_majorities_per_second":
+        re.compile(
+            r"\[kernel-bundle\] best_majorities_per_second:\s*([0-9.]+)"),
     "kernel_selfcheck_pass":
         re.compile(r"\[kernel-selfcheck\] pass:\s*([0-9.]+)"),
     "cluster_scaling_replicas1_rows_per_second":

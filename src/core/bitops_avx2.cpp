@@ -194,6 +194,34 @@ void avx2_threshold(const std::int32_t* counters,
                      dim - 64 * full);
 }
 
+/// 256-bit lanes for the shared majority template: one chunk is four
+/// words, so each bit-sliced plane is one register.
+struct Avx2Lanes {
+  using V = __m256i;
+  static constexpr std::size_t kWords = 4;
+  static V zero() noexcept { return _mm256_setzero_si256(); }
+  static V load(const std::uint64_t* p) noexcept {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+  static void store(std::uint64_t* p, V v) noexcept {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
+  /// Per lane (p[j] << bits) | (p[j - 1] >> (64 - bits)); a shift count
+  /// of 64 clears the lane, so bits == 0 needs no branch.
+  static V funnel(const std::uint64_t* p, unsigned bits) noexcept {
+    const __m128i left = _mm_cvtsi32_si128(static_cast<int>(bits));
+    const __m128i right = _mm_cvtsi32_si128(64 - static_cast<int>(bits));
+    return _mm256_or_si256(_mm256_sll_epi64(load(p), left),
+                           _mm256_srl_epi64(load(p - 1), right));
+  }
+};
+
+void avx2_majority(const MajorityInputs* inputs,
+                   const std::uint64_t* tie_words, std::uint64_t* out,
+                   std::size_t dim) noexcept {
+  majority_rows<Avx2Lanes>(*inputs, tie_words, out, dim);
+}
+
 constexpr Kernels kAvx2Kernels = {
     .name = "avx2",
     .supported = cpu_has_avx2,
@@ -205,6 +233,7 @@ constexpr Kernels kAvx2Kernels = {
     .xor_rows = avx2_xor_rows,
     .accumulate = avx2_accumulate,
     .threshold = avx2_threshold,
+    .majority = avx2_majority,
 };
 
 }  // namespace

@@ -163,6 +163,37 @@ void avx512_threshold(const std::int32_t* counters,
                      dim - 64 * full);
 }
 
+/// 512-bit lanes for the shared majority template: one chunk is eight
+/// words, so each bit-sliced plane is one register.
+struct Avx512Lanes {
+  using V = __m512i;
+  static constexpr std::size_t kWords = 8;
+  static V zero() noexcept { return _mm512_setzero_si512(); }
+  static V load(const std::uint64_t* p) noexcept {
+    return _mm512_loadu_si512(p);
+  }
+  static void store(std::uint64_t* p, V v) noexcept {
+    _mm512_storeu_si512(p, v);
+  }
+  /// Per lane (p[j] << bits) | (p[j - 1] >> (64 - bits)); a shift count
+  /// of 64 clears the lane, so bits == 0 needs no branch.  The zero-masked
+  /// forms with every lane selected are the plain shifts; GCC 12's
+  /// unmasked ones pass an undefined vector and trip -Wuninitialized.
+  static V funnel(const std::uint64_t* p, unsigned bits) noexcept {
+    constexpr __mmask8 kAll = 0xFF;
+    const __m128i left = _mm_cvtsi32_si128(static_cast<int>(bits));
+    const __m128i right = _mm_cvtsi32_si128(64 - static_cast<int>(bits));
+    return _mm512_or_si512(_mm512_maskz_sll_epi64(kAll, load(p), left),
+                           _mm512_maskz_srl_epi64(kAll, load(p - 1), right));
+  }
+};
+
+void avx512_majority(const MajorityInputs* inputs,
+                     const std::uint64_t* tie_words, std::uint64_t* out,
+                     std::size_t dim) noexcept {
+  majority_rows<Avx512Lanes>(*inputs, tie_words, out, dim);
+}
+
 constexpr Kernels kAvx512Kernels = {
     .name = "avx512",
     .supported = cpu_has_avx512,
@@ -174,6 +205,7 @@ constexpr Kernels kAvx512Kernels = {
     .xor_rows = avx512_xor_rows,
     .accumulate = avx512_accumulate,
     .threshold = avx512_threshold,
+    .majority = avx512_majority,
 };
 
 }  // namespace

@@ -106,6 +106,7 @@ constexpr Kernels kNeonKernels = {
     // Portable loops until a toolchain can test vector NEON bundling.
     .accumulate = portable_accumulate,
     .threshold = portable_threshold,
+    .majority = portable_majority,
 };
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Scalar kernel variant: portable 4-way-unrolled XOR+popcount, plus the
-// portable bundling loops shared through kernel_detail.hpp.
+// portable bundling loops and one-word majority shared through
+// kernel_detail.hpp.
 //
 // This TU is the always-correct fallback and the bit-exactness reference
 // every SIMD variant is property-tested against
@@ -92,6 +93,7 @@ constexpr Kernels kScalarKernels = {
     .xor_rows = scalar_xor_rows,
     .accumulate = portable_accumulate,
     .threshold = portable_threshold,
+    .majority = portable_majority,
 };
 
 }  // namespace

@@ -1,9 +1,9 @@
 #include "hdc/core/feature_encoder.hpp"
 
 #include <utility>
+#include <vector>
 
 #include "hdc/base/require.hpp"
-#include "hdc/core/accumulator.hpp"
 #include "hdc/core/basis_random.hpp"
 #include "hdc/core/ops.hpp"
 
@@ -52,16 +52,20 @@ KeyValueEncoder::KeyValueEncoder(Basis keys, ScalarEncoderPtr values,
 Hypervector KeyValueEncoder::encode(std::span<const double> features) const {
   require(features.size() == keys_.size(), "KeyValueEncoder::encode",
           "feature count mismatch");
-  BundleAccumulator acc(dimension());
-  // K_i ⊗ V(x_i) is XORed straight from the two basis arenas into one
-  // scratch row, so the loop never materializes a Hypervector.
-  std::vector<std::uint64_t> scratch(bits::words_for(dimension()));
+  // Input i is K_i ⊗ V(x_i): the majority kernel XORs the key and value
+  // rows as it loads them, so no bound row or counter row is ever built.
+  std::vector<const std::uint64_t*> rows(2 * features.size());
   for (std::size_t i = 0; i < features.size(); ++i) {
-    bits::xor_rows(scratch, keys_[i].words(),
-                   values_->encode(features[i]).words());
-    acc.add_words(scratch);
+    rows[2 * i] = keys_[i].words().data();
+    rows[2 * i + 1] = values_->encode(features[i]).words().data();
   }
-  return acc.finalize(tie_breaker_);
+  bits::MajorityInputs inputs;
+  inputs.rows = rows.data();
+  inputs.count = features.size();
+  inputs.terms = 2;
+  Hypervector out(dimension());
+  bits::majority(inputs, tie_breaker_.words(), out.words(), dimension());
+  return out;
 }
 
 }  // namespace hdc

@@ -11,8 +11,9 @@
 /// and equality work on whole words.
 ///
 /// The word kernels (hamming / nearest_hamming / hamming_many / count_ones
-/// / xor_into / xor_rows / accumulate / threshold) are *dispatched*: each
-/// span function below is a thin shim over the process-wide `Kernels` table
+/// / xor_into / xor_rows / accumulate / threshold / majority) are
+/// *dispatched*: each span function below is a thin shim over the
+/// process-wide `Kernels` table
 /// selected at startup from the compiled-in scalar / AVX2 / AVX-512 / NEON
 /// variants (hdc/core/kernels.hpp, docs/kernels.md).  Every variant is
 /// bit-exact with the scalar reference; selection only changes speed.
@@ -116,6 +117,19 @@ inline void threshold(std::span<const std::int32_t> counters,
                       std::span<std::uint64_t> out) noexcept {
   active_kernels().threshold(counters.data(), tie_words.data(), out.data(),
                              counters.size());
+}
+
+/// One-pass majority bundle of the inputs \p inputs describes (bound pairs,
+/// n-gram windows or plain rows; see MajorityInputs) into the
+/// \p dim-bit row \p out: a bit is set where more than half the inputs set
+/// it, takes the tie bit where exactly half do, and tail bits are written
+/// as zero — accumulate(+1 per input) then threshold, without a counter
+/// row.  \pre tie_words.size() == out.size() == words_for(dim); out
+/// aliases no input row.
+inline void majority(const MajorityInputs& inputs,
+                     std::span<const std::uint64_t> tie_words,
+                     std::span<std::uint64_t> out, std::size_t dim) noexcept {
+  active_kernels().majority(&inputs, tie_words.data(), out.data(), dim);
 }
 
 /// Reads bit \p index. \pre index < 64 * words.size().

@@ -6,10 +6,12 @@
 ///
 /// Every hot path in the library — `Basis::nearest`,
 /// `CentroidClassifier::predict`, the `hdc::runtime` batch engines, the
-/// whole `hdc::serve` stack and every `BundleAccumulator` bundle — bottoms
-/// out in a handful of word kernels: fused XOR+popcount sweeps plus the
-/// bundling accumulate/threshold pair.  This header turns that kernel
-/// surface into a *selectable* API: a `Kernels` table of function pointers
+/// whole `hdc::serve` stack and every bundle — bottoms out in a handful of
+/// word kernels: fused XOR+popcount sweeps, the bundling
+/// accumulate/threshold pair behind `BundleAccumulator`, and the one-pass
+/// `majority` behind the key-value and n-gram encoders.  This header turns
+/// that kernel surface into a *selectable* API: a `Kernels` table of
+/// function pointers
 /// with one entry per primitive,
 /// per-ISA implementations (scalar / AVX2 / AVX-512 VPOPCNTDQ / NEON)
 /// compiled into their own translation units with per-file ISA flags, and a
@@ -47,6 +49,24 @@ namespace hdc::bits {
 struct NearestMatch {
   std::size_t index = 0;
   std::size_t distance = 0;
+};
+
+/// The inputs of one majority bundle, described instead of materialized so
+/// that a bound pair or an n-gram window never needs a scratch row.  Every
+/// row holds words_for(dim) words with zero tail bits.
+///
+///  * codes == nullptr: input i is the XOR of rows[i * terms + t] over
+///    t < terms — key-value bindings K_i ⊕ V_i with terms = 2 over
+///    {K_0, V_0, K_1, V_1, ...}, plain rows with terms = 1;
+///  * otherwise input i is the n-gram window ⊕_{t < terms} ρ^t(S_{i+t}),
+///    S_j = rows[codes[j]] and ρ^t a left rotation by t bits over the
+///    dimension: rows is a per-byte symbol table and codes the
+///    count + terms - 1 bytes of text.
+struct MajorityInputs {
+  const std::uint64_t* const* rows = nullptr;
+  const unsigned char* codes = nullptr;
+  std::size_t count = 0;
+  std::size_t terms = 1;
 };
 
 /// One kernel variant: a name, a runtime CPU-support predicate, and the
@@ -105,6 +125,18 @@ struct Kernels {
   void (*threshold)(const std::int32_t* counters,
                     const std::uint64_t* tie_words, std::uint64_t* out,
                     std::size_t dim) noexcept;
+
+  /// One-pass majority bundle: with c_i the number of inputs whose bit i
+  /// is set, bit i of out is set where 2 * c_i > count and takes tie bit i
+  /// where 2 * c_i == count, for i in [0, dim); the bits of the last word
+  /// past dim are written as zero.  This is accumulate with weight 1 per
+  /// input followed by threshold, bit for bit, for any count (0 included),
+  /// but the counts live in bit-sliced planes per output chunk instead of
+  /// an int32 row.  tie_words and out hold words_for(dim) words; out
+  /// aliases no input row.
+  void (*majority)(const MajorityInputs* inputs,
+                   const std::uint64_t* tie_words, std::uint64_t* out,
+                   std::size_t dim) noexcept;
 };
 
 /// The process-wide active variant.  First call resolves the selection

@@ -90,6 +90,11 @@ class NGramEncoder {
   [[nodiscard]] std::size_t dimension() const noexcept {
     return items_.dimension();
   }
+  /// The bundling tie-breaker: the bit a window-majority tie takes.
+  [[nodiscard]] const Hypervector& tie_breaker() const noexcept {
+    return tie_breaker_;
+  }
+  [[nodiscard]] const ItemMemory& items() const noexcept { return items_; }
   /// The seed this encoder was created from; (dimension, n, seed)
   /// reconstructs it bit-exactly.
   [[nodiscard]] std::uint64_t seed() const noexcept { return items_.seed(); }

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "hdc/base/require.hpp"
-#include "hdc/core/accumulator.hpp"
 
 namespace hdc {
 
@@ -40,11 +39,21 @@ double similarity(HypervectorView a, HypervectorView b) {
 
 Hypervector majority(std::span<const Hypervector> inputs, Rng& tie_rng) {
   require(!inputs.empty(), "majority", "inputs must be non-empty");
-  BundleAccumulator acc(inputs.front().dimension());
+  const std::size_t dimension = inputs.front().dimension();
+  require_positive(dimension, "majority", "dimension");
+  std::vector<const std::uint64_t*> rows;
+  rows.reserve(inputs.size());
   for (const Hypervector& hv : inputs) {
-    acc.add(hv);
+    require(hv.dimension() == dimension, "majority", "dimension mismatch");
+    rows.push_back(hv.words().data());
   }
-  return acc.finalize(tie_rng);
+  bits::MajorityInputs rows_in;
+  rows_in.rows = rows.data();
+  rows_in.count = rows.size();
+  const Hypervector tie = Hypervector::random(dimension, tie_rng);
+  Hypervector out(dimension);
+  bits::majority(rows_in, tie.words(), out.words(), dimension);
+  return out;
 }
 
 Hypervector flip_random_bits(HypervectorView input, std::size_t count,

@@ -1,9 +1,9 @@
 #include "hdc/core/sequence_encoder.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "hdc/base/require.hpp"
 #include "hdc/core/accumulator.hpp"
@@ -37,30 +37,32 @@ const Hypervector& find_byte(const ItemMemory& items, std::string_view symbol,
 }
 
 /// The bound-n-gram bundle shared by both NGramEncoder::encode overloads;
-/// \p symbol maps a one-byte string_view to its item vector.  Each window
-/// is built in one reused scratch row: the first symbol copied, then every
-/// later symbol rotated by its offset and XORed in.
+/// \p symbol maps a one-byte string_view to its item vector.  Window i
+/// binds text[i + k] rotated by k bits for every k < n; the majority
+/// kernel builds each window word from funnel shifts of the symbol rows as
+/// it loads them, so neither a window row nor a counter row is ever built,
+/// and its scratch does not grow with the text.
 template <typename SymbolFn>
 Hypervector bundle_ngrams(std::string_view text, std::size_t n,
                           HypervectorView tie_breaker, const SymbolFn& symbol) {
   require(!text.empty(), "NGramEncoder::encode", "text must be non-empty");
-  const std::size_t dimension = tie_breaker.dimension();
-  BundleAccumulator acc(dimension);
-  std::vector<std::uint64_t> gram(bits::words_for(dimension));
-  std::vector<std::uint64_t> rotated(gram.size());
-  const std::size_t window = std::min(n, text.size());
-  const std::size_t last_start = text.size() - window;
-  for (std::size_t start = 0; start <= last_start; ++start) {
-    const auto first = symbol(text.substr(start, 1)).words();
-    std::copy(first.begin(), first.end(), gram.begin());
-    for (std::size_t k = 1; k < window; ++k) {
-      const auto next = symbol(text.substr(start + k, 1)).words();
-      bits::rotate_left(next, rotated, dimension, k);
-      bits::xor_into(gram, rotated);
+  std::array<const std::uint64_t*, 256> rows{};
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const auto byte = static_cast<unsigned char>(text[i]);
+    if (rows[byte] == nullptr) {
+      rows[byte] = symbol(text.substr(i, 1)).words().data();
     }
-    acc.add_words(gram);
   }
-  return acc.finalize(tie_breaker);
+  const std::size_t window = std::min(n, text.size());
+  bits::MajorityInputs inputs;
+  inputs.rows = rows.data();
+  inputs.codes = reinterpret_cast<const unsigned char*>(text.data());
+  inputs.count = text.size() - window + 1;
+  inputs.terms = window;
+  const std::size_t dimension = tie_breaker.dimension();
+  Hypervector out(dimension);
+  bits::majority(inputs, tie_breaker.words(), out.words(), dimension);
+  return out;
 }
 
 }  // namespace

@@ -159,16 +159,28 @@ class Pipeline {
     return ngram_.get();
   }
 
-  /// hdc::runtime bridges: a BatchEncoder wrapping this pipeline's encode()
-  /// and Batch{Classifier,Regressor} engines adopting (a shallow copy of)
-  /// the restored model.  The encoder lambda shares the pipeline's encoder
-  /// state, so the engines outlive this Pipeline object — but never the
-  /// snapshot it borrows from.  \throws std::invalid_argument if pool is
-  /// null; std::logic_error on a kind mismatch.
+  /// hdc::runtime bridge: a BatchEncoder wrapping this pipeline's encode().
+  /// The encoder lambda shares the pipeline's encoder state, so the engine
+  /// outlives this Pipeline object — but never the snapshot it borrows
+  /// from.  \throws std::invalid_argument if pool is null; std::logic_error
+  /// on a text pipeline.
   [[nodiscard]] runtime::BatchEncoder batch_encoder(
       runtime::ThreadPoolPtr pool) const;
+
+  /// A BatchClassifier over a borrowed view of this pipeline's class arena:
+  /// no model words are copied, whether the model is mapped or owned (a
+  /// published adapted model, with_model()).  The engine must not outlive
+  /// this Pipeline — nor any copy of it that keeps the model alive.
+  /// \throws std::invalid_argument if pool is null or the model is not
+  /// finalized; std::logic_error on a regressor pipeline.
   [[nodiscard]] runtime::BatchClassifier batch_classifier(
       runtime::ThreadPoolPtr pool) const;
+
+  /// A BatchRegressor over this pipeline's regressor: it shares the label
+  /// encoder (and so may borrow its mapped basis) and copies the single
+  /// d-bit model row.  Like batch_classifier(), the engine must not outlive
+  /// this Pipeline.  \throws std::invalid_argument if pool is null or the
+  /// model is not finalized; std::logic_error on a classifier pipeline.
   [[nodiscard]] runtime::BatchRegressor batch_regressor(
       runtime::ThreadPoolPtr pool) const;
 

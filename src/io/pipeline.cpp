@@ -255,7 +255,15 @@ runtime::BatchTextEncoder Pipeline::batch_text_encoder(
 
 runtime::BatchClassifier Pipeline::batch_classifier(
     runtime::ThreadPoolPtr pool) const {
-  return {CentroidClassifier(classifier()), std::move(pool)};
+  // The engine reads the model's class arena in place, owning or mapped,
+  // so a published (adapted) model is never copied again per engine.
+  const CentroidClassifier& model = classifier();
+  require(model.finalized(), "Pipeline::batch_classifier",
+          "model must be finalized");
+  return {CentroidClassifier::from_packed_class_words(
+              model.num_classes(), model.dimension(),
+              WordStorage(model.packed_class_words(), borrowed), unchecked),
+          std::move(pool)};
 }
 
 runtime::BatchRegressor Pipeline::batch_regressor(

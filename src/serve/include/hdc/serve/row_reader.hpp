@@ -15,8 +15,8 @@
 /// malformed input: fed to the encoder they would silently corrupt every
 /// prediction in the batch instead of failing loudly at the parse edge.
 ///
-/// The reader never buffers beyond the current line, so it serves unbounded
-/// streams in constant memory.
+/// The reader never buffers beyond the current line, and never more than
+/// kMaxLineBytes of it, so it serves unbounded streams in bounded memory.
 
 #include <cstddef>
 #include <cstdint>
@@ -52,6 +52,12 @@ class RowError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// The longest line, in bytes before its newline, that a front end buffers
+/// (stdin through RowReader::next/next_text, sockets in NetServer): a
+/// longer line is answered like a malformed row, "line exceeds 1048576
+/// bytes".
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
 
 /// Wire format of the incoming feature rows.
 enum class RowFormat : std::uint8_t {
@@ -93,8 +99,9 @@ class RowReader {
 
   /// Reads the next non-empty line into \p out (resized to num_features()).
   /// Returns false on clean end of stream.  \throws RowError on wrong
-  /// arity, non-numeric or non-finite fields, malformed JSON arrays, or
-  /// stream failure; std::logic_error on a Text reader (use next_text()).
+  /// arity, non-numeric or non-finite fields, malformed JSON arrays, a line
+  /// longer than kMaxLineBytes, or stream failure; std::logic_error on a
+  /// Text reader (use next_text()).
   [[nodiscard]] bool next(std::vector<double>& out);
 
   /// Parses one already-read line as the next input line: counts it,
@@ -105,8 +112,8 @@ class RowReader {
 
   /// Text-format twins of next()/parse_line(): the (CR-stripped) line is
   /// the sample.  Returns false on end of stream / a blank line.  \throws
-  /// std::logic_error on a numeric-format reader; RowError on stream
-  /// failure.
+  /// std::logic_error on a numeric-format reader; RowError on a line longer
+  /// than kMaxLineBytes or on stream failure.
   [[nodiscard]] bool next_text(std::string& out);
   [[nodiscard]] bool parse_text_line(const std::string& line,
                                      std::string& out);
@@ -131,6 +138,9 @@ class RowReader {
   [[nodiscard]] std::size_t rows_read() const noexcept { return rows_; }
 
  private:
+  /// std::getline that stops one byte past kMaxLineBytes: false at end of
+  /// stream; \throws RowError when the line is longer than that.
+  bool read_line(std::string& line);
   void parse_csv(const std::string& line, std::vector<double>& out) const;
   void parse_jsonl(const std::string& line, std::vector<double>& out) const;
   [[noreturn]] void fail(const std::string& what) const;

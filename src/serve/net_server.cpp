@@ -36,10 +36,6 @@ namespace {
 
 using clock = BatchLoop::clock;
 
-/// The longest unterminated line a connection may buffer; past it the line
-/// is answered like a malformed row and the connection closes.
-constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
-
 /// Shortest round-trip decimal of a double (the `!adapt` reply's predicted=
 /// field; classifier labels print as integers this way too).
 std::string format_double(double value) {
@@ -437,6 +433,9 @@ void NetServer::serve_connection_body(int fd) {
       reply = "!ok rows=" + std::to_string(snap.rows) +
               " batches=" + std::to_string(snap.batches) +
               " generation=" + std::to_string(generation()) +
+              " connections=" + std::to_string(snap.connections) +
+              " reloads=" + std::to_string(snap.reloads) +
+              " rejected_reloads=" + std::to_string(snap.rejected_reloads) +
               plane.stats_suffix() + "\n";
     } else if (cmd == "!reload") {
       const std::string path = arg.empty() ? plane.source_path() : arg;

@@ -1,5 +1,6 @@
 #include "hdc/serve/row_reader.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <istream>
@@ -162,13 +163,39 @@ bool RowReader::parse_text_line(const std::string& line, std::string& out) {
   return true;
 }
 
+bool RowReader::read_line(std::string& line) {
+  line.clear();
+  char piece[4096];
+  while (true) {
+    // Each piece stores at most what keeps the line within one byte past
+    // the bound, so an over-long line is never buffered whole.
+    const std::size_t room = kMaxLineBytes + 1 - line.size();
+    const auto limit = static_cast<std::streamsize>(
+        std::min(sizeof(piece), room + 1));
+    in_->getline(piece, limit);
+    const auto got = static_cast<std::size_t>(in_->gcount());
+    const bool full = in_->fail() && !in_->eof() && !in_->bad();
+    // A found newline is extracted and counted in gcount, not stored.
+    const bool newline = !in_->fail() && !in_->eof();
+    line.append(piece, newline ? got - 1 : got);
+    if (line.size() > kMaxLineBytes) {
+      ++line_;
+      fail("line exceeds " + std::to_string(kMaxLineBytes) + " bytes");
+    }
+    if (!full) {
+      return newline || got > 0 || !line.empty();
+    }
+    in_->clear(in_->rdstate() & ~std::ios::failbit);
+  }
+}
+
 bool RowReader::next(std::vector<double>& out) {
   if (in_ == nullptr) {
     throw std::logic_error(
         "RowReader::next: stream-less reader (use parse_line)");
   }
   std::string line;
-  while (std::getline(*in_, line)) {
+  while (read_line(line)) {
     if (parse_line(line, out)) {
       return true;
     }
@@ -185,7 +212,7 @@ bool RowReader::next_text(std::string& out) {
         "RowReader::next_text: stream-less reader (use parse_text_line)");
   }
   std::string line;
-  while (std::getline(*in_, line)) {
+  while (read_line(line)) {
     if (parse_text_line(line, out)) {
       return true;
     }

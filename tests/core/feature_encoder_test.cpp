@@ -5,9 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "hdc/base/rng.hpp"
+#include "hdc/core/accumulator.hpp"
 #include "hdc/core/basis_circular.hpp"
 #include "hdc/core/basis_level.hpp"
+#include "hdc/core/kernels.hpp"
 #include "hdc/core/ops.hpp"
 #include "hdc/stats/circular.hpp"
 
@@ -86,6 +91,44 @@ TEST(KeyValueEncoderTest, WorksWithCircularValues) {
   const double after[] = {0.05, 1.0, 2.0};
   EXPECT_LT(hdc::normalized_distance(enc.encode(before), enc.encode(after)),
             0.15);
+}
+
+TEST(KeyValueEncoderTest, MatchesAccumulatorOracleForEveryKernel) {
+  // K_i ⊗ V(x_i) materialized and counted in a BundleAccumulator is the
+  // oracle the one-pass majority kernel must reproduce bit for bit, for odd
+  // and even feature counts (ties) and the Table 1 shape of 18 circular
+  // channels.
+  const std::string previous = hdc::bits::active_kernels().name;
+  for (const std::size_t dim : {65, 10'000}) {
+    hdc::CircularBasisConfig config;
+    config.dimension = dim;
+    config.size = 64;
+    config.seed = 12;
+    const auto values = std::make_shared<hdc::CircularScalarEncoder>(
+        hdc::make_circular_basis(config), hdc::stats::two_pi);
+    for (const std::size_t features : {1, 2, 3, 18, 64}) {
+      const KeyValueEncoder enc(features, values, 13 + features);
+      hdc::Rng rng(dim + features);
+      for (int sample = 0; sample < 4; ++sample) {
+        std::vector<double> row(features);
+        for (double& x : row) {
+          x = rng.uniform(0.0, hdc::stats::two_pi);
+        }
+        hdc::BundleAccumulator acc(dim);
+        for (std::size_t i = 0; i < features; ++i) {
+          acc.add(hdc::bind(enc.keys()[i], values->encode(row[i])));
+        }
+        const hdc::Hypervector expected = acc.finalize(enc.tie_breaker());
+        for (const hdc::bits::Kernels* variant :
+             hdc::bits::available_kernels()) {
+          hdc::bits::select_kernels(variant->name);
+          EXPECT_EQ(enc.encode(row), expected)
+              << variant->name << " d=" << dim << " features=" << features;
+        }
+      }
+    }
+  }
+  hdc::bits::select_kernels(previous);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 // variant (scalar / AVX2 / AVX-512 / NEON) must be bit-exact with the
 // scalar reference on the full primitive matrix — hamming, nearest_hamming
 // (including its lowest-index tie-break), hamming_many, count_ones,
-// xor_into, xor_rows, and the bundling pair accumulate / threshold (zero
-// ties, tail bits, counters past the dimension) — across dimensions that
+// xor_into, xor_rows, the bundling pair accumulate / threshold (zero
+// ties, tail bits, counters past the dimension) and the one-pass majority
+// against that pair (plain rows, bound pairs, rotated n-gram windows, even
+// counts' ties, a canary word past the output) — across dimensions that
 // exercise every word-count shape: single partial word, exact word
 // boundaries, one-past boundaries, and the paper-scale d = 10000 / 10240.
 // Variants are forced through
@@ -303,6 +305,222 @@ TEST_P(KernelVariantTest, ThresholdMatchesScalarTakesTiesAndMasksTail) {
     ones.back() &= bits::tail_mask(dim);
     bits::threshold(zeros, ones, out);
     EXPECT_EQ(out, ones) << "variant " << GetParam() << " d=" << dim;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// majority: the one-pass bundle must equal accumulate(+1 per input) then
+// threshold from the scalar reference, for every input shape it reads.
+
+// Every count up to 18 walks count / 2 through each bit pattern of the four
+// carry-save planes; 100 and 300 mix the bits of the planes above them.
+constexpr std::size_t kMajorityCounts[] = {
+    1,  2,  3,  4,  5,  6,  7,  8,  9,   10,  11,   12,   13,   14,   15,
+    16, 17, 18, 31, 32, 33, 63, 64, 100, 300, 1022, 1023, 1024, 1025};
+constexpr std::uint64_t kCanaryWord = 0xC0FFEE0DDBA11ULL;
+
+/// Reference bundle of materialized input rows: accumulate + threshold of
+/// the scalar variant, called directly (no dispatch).
+std::vector<std::uint64_t> reference_majority(
+    const std::vector<std::vector<std::uint64_t>>& inputs,
+    const std::vector<std::uint64_t>& tie, std::size_t dim) {
+  const bits::Kernels& reference = bits::scalar_kernels();
+  std::vector<std::int32_t> counters(dim, 0);
+  for (const auto& row : inputs) {
+    reference.accumulate(counters.data(), row.data(), dim, 1);
+  }
+  std::vector<std::uint64_t> out(tie.size(), 0);
+  reference.threshold(counters.data(), tie.data(), out.data(), dim);
+  return out;
+}
+
+/// The dispatched majority into a row one word longer than the output,
+/// whose last word is a canary no variant may write.
+std::vector<std::uint64_t> dispatched_majority(
+    const bits::MajorityInputs& inputs, const std::vector<std::uint64_t>& tie,
+    std::size_t dim) {
+  std::vector<std::uint64_t> out(tie.size() + 1, ~0ULL);
+  out.back() = kCanaryWord;
+  bits::majority(inputs, tie, std::span(out).first(tie.size()), dim);
+  EXPECT_EQ(out.back(), kCanaryWord) << "d=" << dim;
+  out.pop_back();
+  return out;
+}
+
+std::vector<const std::uint64_t*> row_pointers(
+    const std::vector<std::vector<std::uint64_t>>& rows) {
+  std::vector<const std::uint64_t*> pointers;
+  for (const auto& row : rows) {
+    pointers.push_back(row.data());
+  }
+  return pointers;
+}
+
+TEST_P(KernelVariantTest, MajorityOfRowsMatchesAccumulateThreshold) {
+  for (const std::size_t dim : kDims) {
+    Rng rng(dim * 29 + 8);
+    const auto tie = random_words(dim, rng);
+    std::vector<std::vector<std::uint64_t>> rows;
+    for (const std::size_t count : kMajorityCounts) {
+      while (rows.size() < count) {
+        rows.push_back(random_words(dim, rng));
+      }
+      const std::vector<std::vector<std::uint64_t>> used(
+          rows.begin(), rows.begin() + static_cast<std::ptrdiff_t>(count));
+      const auto pointers = row_pointers(used);
+      bits::MajorityInputs inputs;
+      inputs.rows = pointers.data();
+      inputs.count = count;
+      const auto out = dispatched_majority(inputs, tie, dim);
+      EXPECT_EQ(out, reference_majority(used, tie, dim))
+          << "variant " << GetParam() << " d=" << dim << " n=" << count;
+      EXPECT_EQ(out.back() & ~bits::tail_mask(dim), 0U)
+          << "variant " << GetParam() << " d=" << dim << " n=" << count;
+    }
+  }
+}
+
+TEST_P(KernelVariantTest, MajorityTakesTieBitsAtEvenCounts) {
+  for (const std::size_t dim : kDims) {
+    Rng rng(dim * 31 + 9);
+    // Rows paired with their complements tie at every bit, so the output
+    // is the tie row itself; one more row breaks every tie its way.  A tie
+    // row with every bit set, past the dimension too, still leaves the
+    // output's tail clear.
+    const std::vector<std::uint64_t> all_set(bits::words_for(dim), ~0ULL);
+    std::vector<std::uint64_t> ones(all_set);
+    ones.back() &= bits::tail_mask(dim);
+    for (const std::size_t pairs : {1, 9, 512}) {
+      std::vector<std::vector<std::uint64_t>> rows;
+      for (std::size_t p = 0; p < pairs; ++p) {
+        auto row = random_words(dim, rng);
+        auto flipped = row;
+        for (std::size_t w = 0; w < flipped.size(); ++w) {
+          flipped[w] = ~flipped[w] & (w + 1 == flipped.size()
+                                          ? bits::tail_mask(dim)
+                                          : ~0ULL);
+        }
+        rows.push_back(std::move(row));
+        rows.push_back(std::move(flipped));
+      }
+      const auto tie = random_words(dim, rng);
+      auto pointers = row_pointers(rows);
+      bits::MajorityInputs inputs;
+      inputs.rows = pointers.data();
+      inputs.count = rows.size();
+      EXPECT_EQ(dispatched_majority(inputs, tie, dim), tie)
+          << "variant " << GetParam() << " d=" << dim << " pairs=" << pairs;
+      EXPECT_EQ(dispatched_majority(inputs, all_set, dim), ones)
+          << "variant " << GetParam() << " d=" << dim << " pairs=" << pairs;
+      // No inputs at all: every bit ties, the tail bits included.
+      inputs.count = 0;
+      EXPECT_EQ(dispatched_majority(inputs, all_set, dim), ones)
+          << "variant " << GetParam() << " d=" << dim << " n=0";
+      inputs.count = rows.size();
+      const auto extra = random_words(dim, rng);
+      pointers.push_back(extra.data());
+      inputs.rows = pointers.data();
+      inputs.count = pointers.size();
+      EXPECT_EQ(dispatched_majority(inputs, tie, dim), extra)
+          << "variant " << GetParam() << " d=" << dim << " pairs=" << pairs;
+    }
+  }
+}
+
+TEST_P(KernelVariantTest, MajorityHandComputedOverlap) {
+  // x1 sets bits 0..15, x2 bits 8..23, x3 bits 12..27 of a 32-bit row.
+  const std::vector<std::uint64_t> x1 = {0x0000FFFFULL};
+  const std::vector<std::uint64_t> x2 = {0x00FFFF00ULL};
+  const std::vector<std::uint64_t> x3 = {0x0FFFF000ULL};
+  const std::vector<std::uint64_t> tie = {0x55555555ULL};
+  const std::uint64_t* rows[] = {x1.data(), x2.data(), x3.data()};
+  bits::MajorityInputs inputs;
+  inputs.rows = rows;
+  // Two rows: bits 8..15 are set twice (kept), 0..7 and 16..23 once (a
+  // tie: the tie row's even bits), 24..31 never (clear).
+  inputs.count = 2;
+  EXPECT_EQ(dispatched_majority(inputs, tie, 32),
+            std::vector<std::uint64_t>{0x0055FF55ULL})
+      << "variant " << GetParam();
+  // Three rows: bits 8..23 are set at least twice; 0..7 and 24..27 once.
+  inputs.count = 3;
+  EXPECT_EQ(dispatched_majority(inputs, tie, 32),
+            std::vector<std::uint64_t>{0x00FFFF00ULL})
+      << "variant " << GetParam();
+  // No rows at all: every bit is a tie.
+  inputs.count = 0;
+  EXPECT_EQ(dispatched_majority(inputs, tie, 32), tie)
+      << "variant " << GetParam();
+}
+
+TEST_P(KernelVariantTest, MajorityFusesBoundPairs) {
+  for (const std::size_t dim : kDims) {
+    Rng rng(dim * 37 + 10);
+    const auto tie = random_words(dim, rng);
+    for (const std::size_t count : {1, 2, 18, 64, 1025}) {
+      std::vector<std::vector<std::uint64_t>> rows;
+      std::vector<std::vector<std::uint64_t>> bound;
+      for (std::size_t i = 0; i < count; ++i) {
+        rows.push_back(random_words(dim, rng));
+        rows.push_back(random_words(dim, rng));
+        std::vector<std::uint64_t> pair(rows[2 * i].size());
+        for (std::size_t w = 0; w < pair.size(); ++w) {
+          pair[w] = rows[2 * i][w] ^ rows[2 * i + 1][w];
+        }
+        bound.push_back(std::move(pair));
+      }
+      const auto pointers = row_pointers(rows);
+      bits::MajorityInputs inputs;
+      inputs.rows = pointers.data();
+      inputs.count = count;
+      inputs.terms = 2;
+      EXPECT_EQ(dispatched_majority(inputs, tie, dim),
+                reference_majority(bound, tie, dim))
+          << "variant " << GetParam() << " d=" << dim << " n=" << count;
+    }
+  }
+}
+
+TEST_P(KernelVariantTest, MajorityBuildsRotatedWindows) {
+  for (const std::size_t dim : kDims) {
+    Rng rng(dim * 41 + 11);
+    const auto tie = random_words(dim, rng);
+    // A 7-row symbol table addressed by byte codes, as the n-gram encoder
+    // does with its 256 symbol rows.
+    std::vector<std::vector<std::uint64_t>> table;
+    for (int s = 0; s < 7; ++s) {
+      table.push_back(random_words(dim, rng));
+    }
+    const auto pointers = row_pointers(table);
+    for (const std::size_t terms : {1, 2, 3, 64, 65, 70}) {
+      for (const std::size_t count : {1, 18, 1024}) {
+        std::vector<unsigned char> codes(count + terms - 1);
+        for (auto& code : codes) {
+          code = static_cast<unsigned char>(rng() % table.size());
+        }
+        std::vector<std::vector<std::uint64_t>> windows;
+        std::vector<std::uint64_t> rotated(tie.size());
+        for (std::size_t i = 0; i < count; ++i) {
+          std::vector<std::uint64_t> window = table[codes[i]];
+          for (std::size_t t = 1; t < terms; ++t) {
+            bits::rotate_left(table[codes[i + t]], rotated, dim, t);
+            for (std::size_t w = 0; w < window.size(); ++w) {
+              window[w] ^= rotated[w];
+            }
+          }
+          windows.push_back(std::move(window));
+        }
+        bits::MajorityInputs inputs;
+        inputs.rows = pointers.data();
+        inputs.codes = codes.data();
+        inputs.count = count;
+        inputs.terms = terms;
+        EXPECT_EQ(dispatched_majority(inputs, tie, dim),
+                  reference_majority(windows, tie, dim))
+            << "variant " << GetParam() << " d=" << dim << " n=" << count
+            << " terms=" << terms;
+      }
+    }
   }
 }
 

@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <string_view>
 #include <vector>
 
+#include "hdc/base/rng.hpp"
+#include "hdc/core/accumulator.hpp"
+#include "hdc/core/kernels.hpp"
 #include "hdc/core/ops.hpp"
 
 namespace {
@@ -88,6 +93,59 @@ TEST(NGramEncoderTest, AnagramsDiffer) {
   NGramEncoder enc(10'000, 3, 24);
   EXPECT_GT(hdc::normalized_distance(enc.encode("abc"), enc.encode("cba")),
             0.3);
+}
+
+/// The n-gram bundle built the long way: every window materialized with
+/// permute() and bind(), then counted in a BundleAccumulator — the oracle
+/// the one-pass majority kernel must reproduce bit for bit.
+hdc::Hypervector reference_ngrams(const NGramEncoder& enc,
+                                  std::string_view text) {
+  const auto symbol = [&](std::size_t at) -> const hdc::Hypervector& {
+    return *enc.items().find(text.substr(at, 1));
+  };
+  const std::size_t window = std::min(enc.n(), text.size());
+  hdc::BundleAccumulator acc(enc.dimension());
+  for (std::size_t start = 0; start + window <= text.size(); ++start) {
+    hdc::Hypervector gram = symbol(start);
+    for (std::size_t k = 1; k < window; ++k) {
+      gram = hdc::bind(gram, hdc::permute(symbol(start + k), k));
+    }
+    acc.add(gram);
+  }
+  return acc.finalize(enc.tie_breaker());
+}
+
+TEST(NGramEncoderTest, MatchesAccumulatorOracleForEveryKernel) {
+  // Lengths 1..3 cover partial and single windows, 42 the mean text row,
+  // 1,024 the longest served row and 1,100 counts past 1,023 windows (an
+  // eleventh counter plane); gram 70 rotates terms past one word.
+  constexpr std::size_t kLengths[] = {1, 2, 3, 42, 1'024, 1'100};
+  hdc::Rng rng(0x6E6772);
+  std::string bytes(1'100, '\0');
+  for (char& c : bytes) {
+    c = static_cast<char>(rng() & 0xFFU);
+  }
+  const std::string previous = hdc::bits::active_kernels().name;
+  for (const std::size_t gram : {1, 3, 70}) {
+    NGramEncoder warmed(10'000, gram, 25 + gram);
+    warmed.warm_bytes();
+    const NGramEncoder& frozen = warmed;
+    for (const std::size_t length : kLengths) {
+      const std::string_view text(bytes.data(), length);
+      const hdc::Hypervector expected = reference_ngrams(frozen, text);
+      for (const hdc::bits::Kernels* variant :
+           hdc::bits::available_kernels()) {
+        hdc::bits::select_kernels(variant->name);
+        EXPECT_EQ(frozen.encode(text), expected)
+            << variant->name << " n=" << gram << " length=" << length;
+        // The mutable overload materializes its symbols on the way.
+        NGramEncoder lazy(10'000, gram, 25 + gram);
+        EXPECT_EQ(lazy.encode(text), expected)
+            << variant->name << " n=" << gram << " length=" << length;
+      }
+    }
+  }
+  hdc::bits::select_kernels(previous);
 }
 
 }  // namespace

@@ -132,6 +132,26 @@ TEST(PipelineEquivalenceTest, GestureClassifierPipelineRoundTripsBitExact) {
               expected_predictions[i])
         << "row " << i;
   }
+
+  // An owning model swapped in with with_model() (what an adapted model
+  // publishes) is served in place: the engine's class words are the
+  // pipeline's own, not a copy, and predict the same.
+  const auto owned =
+      std::make_shared<const hdc::CentroidClassifier>(model.detach());
+  const Pipeline swapped = mapped_pipeline.with_model(owned);
+  ASSERT_TRUE(swapped.classifier().owns_storage());
+  const auto engine = swapped.batch_classifier(pool);
+  EXPECT_EQ(engine.model().packed_class_words().data(),
+            owned->packed_class_words().data());
+  EXPECT_EQ(engine.model().packed_class_words().size(),
+            owned->packed_class_words().size());
+  EXPECT_FALSE(engine.model().owns_storage());
+  const auto swapped_predictions = engine.predict(arena);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(static_cast<double>(swapped_predictions[i]),
+              expected_predictions[i])
+        << "row " << i;
+  }
   std::filesystem::remove(path);
 }
 

@@ -348,6 +348,14 @@ TEST(NetServerTest, RejectedReloadLeavesIncumbentServing) {
   // Same connection, same generation, still bit-exact.
   EXPECT_EQ(running.server.generation(), 0U);
   EXPECT_EQ(running.server.stats().rejected_reloads, 2U);
+  // `!stats` sends the connection and reload counters after generation=,
+  // so every `!ok rows=` prefix check still holds.
+  client.send("!stats\n");
+  reply = client.read_line();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(*reply,
+            "!ok rows=0 batches=0 generation=0 connections=1 reloads=0 "
+            "rejected_reloads=2");
   client.send(as_csv(rows));
   client.shutdown_write();
   for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -511,6 +511,50 @@ TEST(ServerTest, MalformedRowServesEarlierRowsThenThrows) {
   EXPECT_EQ(out.str(), expected.str());
 }
 
+TEST(ServerTest, StdinLinesAreBoundedLikeSocketLines) {
+  // A line of exactly kMaxLineBytes bytes is a row like any other; one
+  // byte more is rejected as a malformed row after the rows before it are
+  // answered, and the reader never buffers the whole over-long line.
+  static_assert(hdc::serve::kMaxLineBytes == 1'048'576);
+  const auto snapshot = MappedSnapshot::open(text_snapshot());
+  const Pipeline oracle = Pipeline::restore(snapshot);
+  const std::string longest(hdc::serve::kMaxLineBytes, 'a');
+  {
+    const Server server(Pipeline::restore(snapshot), {});
+    std::istringstream in("lo vo miri\n" + longest + "\ntir tir\n");
+    std::ostringstream out;
+    RowReader reader(in, 0, RowFormat::Text);
+    PredictionWriter writer(out, OutputFormat::Plain);
+    EXPECT_EQ(server.run(reader, writer).rows, 3U);
+    EXPECT_EQ(out.str(), std::to_string(oracle.classify_text("lo vo miri")) +
+                             "\n" +
+                             std::to_string(oracle.classify_text(longest)) +
+                             "\n" +
+                             std::to_string(oracle.classify_text("tir tir")) +
+                             "\n");
+  }
+  const Server server(Pipeline::restore(snapshot), {});
+  std::istringstream in("lo vo miri\n" + longest + "b\ntir tir\n");
+  std::ostringstream out;
+  RowReader reader(in, 0, RowFormat::Text);
+  PredictionWriter writer(out, OutputFormat::Plain);
+  try {
+    (void)server.run(reader, writer);
+    ADD_FAILURE() << "an over-long line must be rejected";
+  } catch (const hdc::serve::RowError& e) {
+    EXPECT_STREQ(e.what(), "row 2: line exceeds 1048576 bytes");
+  }
+  EXPECT_EQ(out.str(),
+            std::to_string(oracle.classify_text("lo vo miri")) + "\n");
+
+  // Numeric rows share the bound, unterminated last line included.
+  std::istringstream numeric("1,2,3\n" + std::string(1'048'577, ' '));
+  RowReader csv(numeric, 3);
+  std::vector<double> row;
+  EXPECT_TRUE(csv.next(row));
+  EXPECT_THROW((void)csv.next(row), hdc::serve::RowError);
+}
+
 TEST(ServerTest, RejectsArityMismatchAndZeroBatch) {
   const auto snapshot = MappedSnapshot::open(beijing_snapshot());
   const Pipeline pipeline = Pipeline::restore(snapshot);
