@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -40,7 +39,6 @@
 #include "hdc/core/classifier.hpp"
 #include "hdc/core/kernels.hpp"
 #include "hdc/core/ops.hpp"
-#include "hdc/core/serialization.hpp"
 #include "hdc/io/fixture_models.hpp"
 #include "hdc/io/pipeline.hpp"
 #include "hdc/io/reload.hpp"
@@ -309,8 +307,8 @@ void report_basis_memory() {
 // Snapshot cold-load report: mmap'ing an HDCS snapshot must hand out a
 // serving-ready basis without copying (or, in Trust mode, even touching)
 // the payload, so its latency stays flat as the model grows — unlike the
-// stream deserializer, whose cost is linear in the payload.  CI archives
-// this and gates the payload-independence ratio of the Trust-mode path.
+// heap loader (load_snapshot), which reads and checksums the whole file.
+// CI archives this and gates the Trust-mode path's speedup over it.
 void report_snapshot_load() {
   constexpr std::size_t kDim = 10'240;
   constexpr std::size_t kCount = 256;
@@ -328,13 +326,10 @@ void report_snapshot_load() {
   struct Variant {
     std::size_t count;
     std::string snap_path;
-    std::string stream_path;
   };
   const Variant variants[] = {
-      {kCount, (dir / "bench_snapshot_1x.hdcs").string(),
-       (dir / "bench_snapshot_1x.hdc").string()},
-      {kCount * kScale, (dir / "bench_snapshot_8x.hdcs").string(),
-       (dir / "bench_snapshot_8x.hdc").string()},
+      {kCount, (dir / "bench_snapshot_1x.hdcs").string()},
+      {kCount * kScale, (dir / "bench_snapshot_8x.hdcs").string()},
   };
   for (const Variant& variant : variants) {
     hdc::RandomBasisConfig config;
@@ -345,8 +340,6 @@ void report_snapshot_load() {
     hdc::io::SnapshotWriter writer;
     writer.add_basis(basis);
     writer.write_file(variant.snap_path);
-    std::ofstream out(variant.stream_path, std::ios::binary);
-    hdc::write_basis(out, basis);
   }
 
   // Best-of-N so one scheduler hiccup cannot distort the smoke-run numbers.
@@ -365,16 +358,16 @@ void report_snapshot_load() {
   };
 
   double trust_ms[2] = {0.0, 0.0};
-  double stream_ms_by_variant[2] = {0.0, 0.0};
+  double heap_ms_by_variant[2] = {0.0, 0.0};
   std::printf("\n[snapshot-load] d=%zu rows={%zu, %zu}\n", kDim, kCount,
               kCount * kScale);
   for (std::size_t v = 0; v < 2; ++v) {
     const Variant& variant = variants[v];
     // Timed region = cold start only: open the artifact and obtain a
     // serving-ready Basis.  The prediction-agreement check runs untimed.
-    const double stream_ms = best_ms([&] {
-      std::ifstream in(variant.stream_path, std::ios::binary);
-      benchmark::DoNotOptimize(hdc::read_basis(in).words_per_vector());
+    const double heap_ms = best_ms([&] {
+      const auto snapshot = hdc::io::load_snapshot(variant.snap_path);
+      benchmark::DoNotOptimize(snapshot.basis(0).words_per_vector());
     });
     const double checksum_ms = best_ms([&] {
       const auto snapshot = hdc::io::MappedSnapshot::open(
@@ -386,31 +379,30 @@ void report_snapshot_load() {
           variant.snap_path, hdc::io::SnapshotIntegrity::Trust);
       benchmark::DoNotOptimize(snapshot.basis(0).words_per_vector());
     });
-    stream_ms_by_variant[v] = stream_ms;
+    heap_ms_by_variant[v] = heap_ms;
 
-    std::size_t stream_nearest = 0;
+    std::size_t heap_nearest = 0;
     std::size_t mapped_nearest = 1;
     {
-      std::ifstream in(variant.stream_path, std::ios::binary);
-      const hdc::Basis stream_basis = hdc::read_basis(in);
+      const auto heap = hdc::io::load_snapshot(variant.snap_path);
+      const hdc::Basis heap_basis = heap.basis(0);
       const auto snapshot = hdc::io::MappedSnapshot::open(variant.snap_path);
       const hdc::Basis mapped_basis = snapshot.basis(0);
-      // One probe from the stream side queried against *both* models: if
+      // One probe from the heap side queried against *both* models: if
       // the mapped payload diverged anywhere in row 3, the cleanup answers
       // would differ (a self-query on each side would vacuously agree).
-      stream_nearest = stream_basis.nearest(stream_basis[3]);
-      mapped_nearest = mapped_basis.nearest(stream_basis[3]);
+      heap_nearest = heap_basis.nearest(heap_basis[3]);
+      mapped_nearest = mapped_basis.nearest(heap_basis[3]);
     }
-    std::printf("  rows=%5zu stream read_basis : %9.3f ms\n", variant.count,
-                stream_ms);
+    std::printf("  rows=%5zu heap load_snapshot: %9.3f ms\n", variant.count,
+                heap_ms);
     std::printf("  rows=%5zu mmap + checksum   : %9.3f ms\n", variant.count,
                 checksum_ms);
     std::printf("  rows=%5zu mmap (trusted)    : %9.3f ms  "
                 "(predictions agree: %s)\n",
                 variant.count, trust_ms[v],
-                stream_nearest == mapped_nearest ? "yes" : "NO");
+                heap_nearest == mapped_nearest ? "yes" : "NO");
     std::filesystem::remove(variant.snap_path);
-    std::filesystem::remove(variant.stream_path);
   }
   // Pipeline row: restoring a complete encode->predict pipeline (encoder
   // config sections + model) must stay in the same cold-start class as a
@@ -446,9 +438,9 @@ void report_snapshot_load() {
   std::printf("[snapshot-load] trust-load payload-independence ratio: %.2f\n",
               trust_ms[1] / trust_ms[0]);
   // CI gate: even with 8x the payload, trusted mmap cold-start must beat
-  // the 8x stream deserializer by a wide margin.
+  // the 8x heap load by a wide margin.
   std::printf("[snapshot-load] mmap speedup: %.2f\n",
-              stream_ms_by_variant[1] / trust_ms[1]);
+              heap_ms_by_variant[1] / trust_ms[1]);
 }
 
 // Best-of-3 rows/s of the in-process `hdcgen serve` stack over a

@@ -55,8 +55,8 @@ Basis::Basis(BasisInfo info, WordStorage storage)
     : info_(info),
       packed_(std::move(storage)),
       words_per_vector_(bits::words_for(info.dimension)) {
-  // An incrementally grown owning arena (e.g. read_basis) can carry up to 2x
-  // slack capacity; drop it so resident_bytes() reflects the data.
+  // An owning arena a caller grew incrementally can carry up to 2x slack
+  // capacity; drop it so resident_bytes() reflects the data.
   packed_.shrink_to_fit();
   require(info_.size > 0, "Basis", "info.size must be positive");
   require_positive(info_.dimension, "Basis", "info.dimension");

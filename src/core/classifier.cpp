@@ -27,22 +27,6 @@ CentroidClassifier::CentroidClassifier(std::size_t num_classes,
   tie_breaker_ = Hypervector::random(dimension, rng);
 }
 
-CentroidClassifier CentroidClassifier::from_class_vectors(
-    std::vector<Hypervector> vectors) {
-  require(!vectors.empty(), "CentroidClassifier::from_class_vectors",
-          "need at least one class-vector");
-  const std::size_t dimension = vectors.front().dimension();
-  require(dimension > 0, "CentroidClassifier::from_class_vectors",
-          "class-vectors must be non-empty");
-  for (const Hypervector& hv : vectors) {
-    require(hv.dimension() == dimension,
-            "CentroidClassifier::from_class_vectors",
-            "class-vectors must share one dimension");
-  }
-  return from_packed_class_words(vectors.size(), dimension,
-                                 WordStorage(pack_words(vectors)), unchecked);
-}
-
 CentroidClassifier CentroidClassifier::from_packed_class_words(
     std::size_t num_classes, std::size_t dimension, WordStorage arena) {
   require(num_classes > 0, "CentroidClassifier::from_packed_class_words",

@@ -14,8 +14,8 @@
 ///
 /// A `Basis` is an immutable, value-semantic set of equal-dimension
 /// hypervectors plus a `BasisInfo` provenance record (kind, generation
-/// method, r-hyperparameter, seed) that serialization and the experiment
-/// logs rely on.
+/// method, r-hyperparameter, seed) that snapshots and the experiment logs
+/// rely on.
 ///
 /// Storage: the packed word arena is the *single* source of truth — vector i
 /// lives at arena words [i * words_per_vector(), (i + 1) *
@@ -79,9 +79,8 @@ class Basis {
   Basis(BasisInfo info, std::vector<Hypervector> vectors);
 
   /// Adopts an already-packed arena (info.size rows of
-  /// bits::words_for(info.dimension) words each) without copying — the
-  /// zero-copy deserialization path.  Validates the word count and the
-  /// per-row tail-bits-zero invariant.
+  /// bits::words_for(info.dimension) words each) without copying.
+  /// Validates the word count and the per-row tail-bits-zero invariant.
   /// \throws std::invalid_argument on any inconsistency.
   Basis(BasisInfo info, std::vector<std::uint64_t> packed_words);
 

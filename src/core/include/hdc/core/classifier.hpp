@@ -30,20 +30,15 @@ class CentroidClassifier {
   CentroidClassifier(std::size_t num_classes, std::size_t dimension,
                      std::uint64_t seed);
 
-  /// Restores an inference-only model from finalized class-vectors (the
-  /// serialization path).  The returned model predicts immediately; training
-  /// updates (add_sample/absorb/adapt/finalize) throw std::logic_error
-  /// because the integer accumulators are not part of the serialized state —
-  /// query `trainable()` first instead of relying on the throw.
-  /// \throws std::invalid_argument if vectors is empty or dimensions differ.
-  [[nodiscard]] static CentroidClassifier from_class_vectors(
-      std::vector<Hypervector> vectors);
-
   /// Restores an inference-only model straight from a packed class-vector
   /// arena (num_classes rows of bits::words_for(dimension) words each).
   /// Owning storage is adopted without copying; borrowed storage
   /// (WordStorage(span, borrowed)) serves predictions directly over an
-  /// external mapping — the hdc::io::MappedSnapshot path.  Validates the
+  /// external mapping — the hdc::io::MappedSnapshot path.  The returned
+  /// model predicts immediately; training updates
+  /// (add_sample/absorb/adapt/finalize) throw std::logic_error because the
+  /// integer accumulators are not part of the stored state — query
+  /// `trainable()` first instead of relying on the throw.  Validates the
   /// word count and per-row tail invariants.
   /// \throws std::invalid_argument on any inconsistency.
   [[nodiscard]] static CentroidClassifier from_packed_class_words(
@@ -57,8 +52,8 @@ class CentroidClassifier {
       std::size_t num_classes, std::size_t dimension, WordStorage arena,
       unchecked_t);
 
-  /// True for models restored by from_class_vectors() /
-  /// from_packed_class_words().
+  /// True for models restored by from_packed_class_words() (and their
+  /// detach() copies).
   [[nodiscard]] bool inference_only() const noexcept { return inference_only_; }
 
   /// False for restored inference-only models: every training-state mutator

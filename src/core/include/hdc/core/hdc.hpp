@@ -26,7 +26,6 @@
 #include "hdc/core/scalar_encoder.hpp"   // IWYU pragma: export
 #include "hdc/core/scatter_code.hpp"     // IWYU pragma: export
 #include "hdc/core/sequence_encoder.hpp" // IWYU pragma: export
-#include "hdc/core/serialization.hpp"    // IWYU pragma: export
 #include "hdc/core/word_storage.hpp"     // IWYU pragma: export
 
 #endif  // HDC_CORE_HDC_HPP

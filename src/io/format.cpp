@@ -399,8 +399,8 @@ void validate_section_metadata(const SectionRecord& record, std::size_t index,
 
 SnapshotLayout parse_snapshot_layout(std::span<const std::byte> file) {
   if constexpr (std::endian::native != std::endian::little) {
-    fail("zero-copy snapshots require a little-endian host; use the "
-         "hdc/core stream serialization instead");
+    fail("snapshots require a little-endian host; big-endian hosts are "
+         "not supported");
   }
   if (file.size() < snapshot_header_bytes) {
     fail("file shorter than the 64-byte header");

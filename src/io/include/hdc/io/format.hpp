@@ -66,8 +66,8 @@ inline constexpr std::size_t snapshot_min_alignment = 64;
 inline constexpr std::size_t snapshot_max_alignment = std::size_t{1} << 20;
 /// Sentinel for "no auxiliary section".
 inline constexpr std::uint64_t snapshot_no_aux = ~std::uint64_t{0};
-/// Hard cap on dimensions/counts, mirroring hdc/core/serialization.cpp:
-/// corrupted tables must not describe multi-gigabyte models.
+/// Hard cap on dimensions/counts: corrupted tables must not describe
+/// multi-gigabyte models.
 inline constexpr std::uint64_t snapshot_sanity_limit = 1ULL << 28;
 /// Hard cap on the section count (the table alone would be 128 MiB here).
 inline constexpr std::uint64_t snapshot_max_sections = 1ULL << 20;

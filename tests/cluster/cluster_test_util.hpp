@@ -29,8 +29,8 @@ inline std::string temp_file(const std::string& name) {
 
 /// JIGSAWS-shape classifier pipeline snapshot (4 circular channels, 3
 /// classes) under \p seed; returns the written path.
-inline std::string write_classifier_snapshot(const std::string& name,
-                                             std::uint64_t seed) {
+inline std::string write_jigsaws_snapshot(const std::string& name,
+                                          std::uint64_t seed) {
   const std::string path = temp_file(name);
   io::fixtures::FixtureSpec spec;
   spec.seed = seed;

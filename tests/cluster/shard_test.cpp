@@ -254,7 +254,7 @@ TEST(WorkerTest, EmptyClassSliceReportsTheSentinel) {
   // 3 classes over 7 ranks: ranks 3..6 own nothing and must answer every
   // row with the kNoCandidate pair (which never wins a reduce).
   const std::string path =
-      testutil::write_classifier_snapshot("worker_sentinel.hdcs", 2023);
+      testutil::write_jigsaws_snapshot("worker_sentinel.hdcs", 2023);
   Worker::Config cfg;
   cfg.snapshot_path = path;
   cfg.rank = 5;

@@ -73,7 +73,7 @@ std::vector<std::pair<double, std::vector<double>>> feedback_stream(
 
 TEST(ShardedAdaptTest, BroadcastFeedbackMatchesSingleProcessOverlay) {
   const std::string path =
-      testutil::write_classifier_snapshot("adapt_parity.hdcs", 1);
+      testutil::write_jigsaws_snapshot("adapt_parity.hdcs", 1);
   const auto rows = testutil::classifier_rows(12);
   const auto stream = feedback_stream(path, rows, 6);
 
@@ -190,7 +190,7 @@ TEST(ShardedAdaptTest, LoopbackRanksServeWhatTheLocalPlanePublishes) {
   std::vector<Case> cases;
   {
     const std::string path =
-        testutil::write_classifier_snapshot("publish_numeric.hdcs", 3);
+        testutil::write_jigsaws_snapshot("publish_numeric.hdcs", 3);
     const auto base = hdc::io::load_pipeline(path);
     std::vector<double> targets;
     for (const auto& row : rows) {
@@ -268,7 +268,7 @@ TEST(ShardedAdaptTest, LoopbackRanksServeWhatTheLocalPlanePublishes) {
 
 TEST(ShardedAdaptTest, ExportedDeltaIsByteIdenticalAcrossProcessCounts) {
   const std::string path =
-      testutil::write_classifier_snapshot("adapt_delta.hdcs", 1);
+      testutil::write_jigsaws_snapshot("adapt_delta.hdcs", 1);
   const auto rows = testutil::classifier_rows(12);
   const auto stream = feedback_stream(path, rows, 6);
 
@@ -298,7 +298,7 @@ TEST(ShardedAdaptTest, ExportedDeltaIsByteIdenticalAcrossProcessCounts) {
 
 TEST(ShardedAdaptTest, DeltaReloadSwapsEveryRankToTheAdaptedModel) {
   const std::string path =
-      testutil::write_classifier_snapshot("adapt_reload.hdcs", 1);
+      testutil::write_jigsaws_snapshot("adapt_reload.hdcs", 1);
   const auto rows = testutil::classifier_rows(12);
   const auto stream = feedback_stream(path, rows, 6);
   const auto base_golden = testutil::oracle(path, rows);
@@ -332,7 +332,7 @@ TEST(ShardedAdaptTest, DeltaReloadSwapsEveryRankToTheAdaptedModel) {
 
 TEST(ShardedAdaptTest, RejectedFeedbackLeavesTheClusterServing) {
   const std::string path =
-      testutil::write_classifier_snapshot("adapt_reject.hdcs", 1);
+      testutil::write_jigsaws_snapshot("adapt_reject.hdcs", 1);
   const auto rows = testutil::classifier_rows(6);
   const auto golden = testutil::oracle(path, rows);
 

@@ -45,7 +45,7 @@ struct Shape {
 std::vector<Shape> make_shapes() {
   std::vector<Shape> shapes;
   shapes.push_back({"classifier",
-                    testutil::write_classifier_snapshot("eq_cls.hdcs", 2023),
+                    testutil::write_jigsaws_snapshot("eq_cls.hdcs", 2023),
                     testutil::classifier_rows(23),
                     {}});
   shapes.push_back({"regressor",
@@ -282,7 +282,7 @@ TEST(ShardedEquivalenceTest, ClassifierHeadsMatchSingleProcess) {
       testutil::write_text_snapshot("eq_text_head.hdcs", 9);
   const std::vector<std::string> text_rows = testutil::text_rows(17);
   const std::string num_path =
-      testutil::write_classifier_snapshot("eq_num_head.hdcs", 2023);
+      testutil::write_jigsaws_snapshot("eq_num_head.hdcs", 2023);
   const auto num_rows = testutil::classifier_rows(17);
 
   // Single-process oracles straight off the restored pipelines.

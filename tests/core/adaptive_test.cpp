@@ -53,12 +53,7 @@ ClassifierPair make_classifier_pair(std::uint64_t seed) {
     }
   }
   model->finalize();
-  std::vector<Hypervector> rows;
-  for (std::size_t c = 0; c < kClasses; ++c) {
-    rows.emplace_back(model->class_vector(c));
-  }
-  return {model, std::make_shared<const CentroidClassifier>(
-                     CentroidClassifier::from_class_vectors(rows))};
+  return {model, std::make_shared<const CentroidClassifier>(model->detach())};
 }
 
 /// Deterministic labelled feedback stream; some samples are deliberately
@@ -194,12 +189,8 @@ TEST(AdaptiveClassifierTest, AdaptRepairsAPoisonedRestoredModel) {
     trained.add_sample(1, hdc::flip_random_bits(proto_a, kDim / 12, rng));
   }
   trained.finalize();
-  std::vector<Hypervector> rows;
-  for (std::size_t c = 0; c < 2; ++c) {
-    rows.emplace_back(trained.class_vector(c));
-  }
-  const auto restored = std::make_shared<const CentroidClassifier>(
-      CentroidClassifier::from_class_vectors(rows));
+  const auto restored =
+      std::make_shared<const CentroidClassifier>(trained.detach());
 
   AdaptiveClassifier overlay(restored, kDefaultAdaptSeed);
   std::size_t wrong_before = 0;

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "hdc/core/basis_circular.hpp"
 #include "hdc/core/ops.hpp"
@@ -21,6 +23,32 @@ using hdc::Rng;
 TEST(ClassifierTest, ValidatesConstruction) {
   EXPECT_THROW(CentroidClassifier(0, 100, 1), std::invalid_argument);
   EXPECT_THROW(CentroidClassifier(3, 0, 1), std::invalid_argument);
+}
+
+// The restore path validates the packed arena it adopts: class count,
+// dimension, word count (overflow-safe) and clean row tails.
+TEST(ClassifierTest, FromPackedClassWordsValidates) {
+  const auto restore = [](std::size_t classes, std::size_t dimension,
+                          std::vector<std::uint64_t> words) {
+    return CentroidClassifier::from_packed_class_words(
+        classes, dimension, hdc::WordStorage(std::move(words)));
+  };
+  EXPECT_THROW((void)restore(0, 70, {}), std::invalid_argument);
+  EXPECT_THROW((void)restore(2, 0, {0, 0}), std::invalid_argument);
+  // Two classes of d = 70 take 2 words each.
+  EXPECT_THROW((void)restore(2, 70, {0, 0, 0}), std::invalid_argument);
+  EXPECT_THROW((void)restore(2, 70, {0, 1ULL << 63, 0, 0}),
+               std::invalid_argument);  // bit 127 of row 0: beyond d = 70
+  EXPECT_THROW((void)restore(std::size_t{1} << 63, 70, {}),
+               std::invalid_argument);  // * 2 words/class wraps to 0
+
+  const CentroidClassifier model = restore(2, 70, {0xFF, 0, 0, 1ULL << 5});
+  EXPECT_TRUE(model.owns_storage());
+  EXPECT_TRUE(model.inference_only());
+  EXPECT_TRUE(model.finalized());
+  EXPECT_EQ(model.num_classes(), 2U);
+  EXPECT_EQ(model.class_vector(0).count_ones(), 8U);
+  EXPECT_EQ(model.class_vector(1).count_ones(), 1U);
 }
 
 TEST(ClassifierTest, PredictRequiresFinalize) {

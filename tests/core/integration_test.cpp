@@ -1,6 +1,7 @@
 // End-to-end integration test through the umbrella header: build encoders,
-// train both model types, serialize, restore, and predict — the full
-// lifecycle a downstream user runs.
+// train both model types and predict — the in-process lifecycle a
+// downstream user runs.  Storing and restoring a trained pipeline is the
+// snapshot suites' job (tests/io/pipeline_equivalence_test.cpp).
 
 #include "hdc/core/hdc.hpp"
 
@@ -8,7 +9,6 @@
 
 #include <cmath>
 #include <memory>
-#include <sstream>
 
 #include "hdc/stats/circular.hpp"
 
@@ -45,18 +45,7 @@ TEST(IntegrationTest, FullClassificationLifecycle) {
   }
   model.finalize();
 
-  // 3. Serialize the trained model and the value basis.
-  std::stringstream stream;
-  hdc::write_classifier(stream, model);
-  hdc::write_basis(stream, values->basis());
-
-  // 4. Restore both and verify the loaded pipeline classifies fresh samples.
-  const hdc::CentroidClassifier loaded = hdc::read_classifier(stream);
-  const hdc::Basis loaded_basis = hdc::read_basis(stream);
-  const auto loaded_values = std::make_shared<hdc::CircularScalarEncoder>(
-      loaded_basis, hdc::stats::two_pi);
-  const hdc::KeyValueEncoder loaded_encoder(4, loaded_values, 12);
-
+  // 3. The trained pipeline classifies fresh samples.
   std::size_t correct = 0;
   const int trials = 100;
   for (int i = 0; i < trials; ++i) {
@@ -66,7 +55,7 @@ TEST(IntegrationTest, FullClassificationLifecycle) {
         sample[v] = hdc::stats::wrap_angle(means[c][v] +
                                            rng.normal(0.0, 0.3));
       }
-      correct += loaded.predict(loaded_encoder.encode(sample)) == c ? 1U : 0U;
+      correct += model.predict(encoder.encode(sample)) == c ? 1U : 0U;
     }
   }
   EXPECT_GT(static_cast<double>(correct) / (3.0 * trials), 0.95);

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <sstream>
 #include <vector>
 
 #include "hdc/core/basis_circular.hpp"
@@ -19,7 +18,6 @@
 #include "hdc/core/ops.hpp"
 #include "hdc/core/scalar_encoder.hpp"
 #include "hdc/core/scatter_code.hpp"
-#include "hdc/core/serialization.hpp"
 
 namespace {
 
@@ -205,26 +203,6 @@ TEST_P(ViewEquivalenceTest, EncodeDecodeRoundTripMatchesCopyPath) {
       EXPECT_EQ(encoder->decode(owned),
                 encoder->value_of(copy_path_nearest(copies, owned)));
     }
-  }
-}
-
-TEST_P(ViewEquivalenceTest, SerializationRoundTripPreservesArena) {
-  const auto [kind, d] = GetParam();
-  const std::size_t m = d > 1'000 ? 8 : 16;
-  const Basis basis = make_basis(kind, d, m, 61);
-  std::stringstream stream;
-  hdc::write_basis(stream, basis);
-  const Basis loaded = hdc::read_basis(stream);
-  ASSERT_EQ(loaded.size(), basis.size());
-  ASSERT_EQ(loaded.words_per_vector(), basis.words_per_vector());
-  // The deserialized arena must not retain growth slack: resident bytes on
-  // the read path match the freshly generated basis exactly.
-  EXPECT_EQ(loaded.resident_bytes(), basis.resident_bytes());
-  const auto a = basis.packed_words();
-  const auto b = loaded.packed_words();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t w = 0; w < a.size(); ++w) {
-    ASSERT_EQ(a[w], b[w]) << "word " << w;
   }
 }
 

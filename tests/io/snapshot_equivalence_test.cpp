@@ -1,6 +1,8 @@
 // Equivalence suite: models served straight over a snapshot mapping must be
-// bit-identical to the classic stream-deserialized models for every basis
-// kind and every entry point (nearest / predict / encode-decode), and
+// bit-identical to the in-memory models they were written from, for every
+// basis kind and every entry point (nearest / predict / encode-decode);
+// a basis round trip keeps every word and every BasisInfo field across the
+// word-tail edge dimensions; restored classifiers are inference-only; and
 // concurrent MappedSnapshots of one file must agree under the thread pool.
 
 #include <gtest/gtest.h>
@@ -8,7 +10,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,35 +29,36 @@ using hdc::io::SnapshotWriter;
 constexpr std::size_t kDim = 129;  // exercises a partial tail word
 constexpr std::size_t kSize = 16;
 
-Basis make_basis(BasisKind kind) {
+Basis make_basis(BasisKind kind, std::size_t dimension = kDim,
+                 std::size_t size = kSize) {
   switch (kind) {
     case BasisKind::Random: {
       hdc::RandomBasisConfig config;
-      config.dimension = kDim;
-      config.size = kSize;
+      config.dimension = dimension;
+      config.size = size;
       config.seed = 31;
       return hdc::make_random_basis(config);
     }
     case BasisKind::Level: {
       hdc::LevelBasisConfig config;
-      config.dimension = kDim;
-      config.size = kSize;
+      config.dimension = dimension;
+      config.size = size;
       config.r = 0.2;
       config.seed = 32;
       return hdc::make_level_basis(config);
     }
     case BasisKind::Circular: {
       hdc::CircularBasisConfig config;
-      config.dimension = kDim;
-      config.size = kSize;
+      config.dimension = dimension;
+      config.size = size;
       config.r = 0.15;
       config.seed = 33;
       return hdc::make_circular_basis(config);
     }
     default: {
       hdc::ScatterBasisConfig config;
-      config.dimension = kDim;
-      config.size = kSize;
+      config.dimension = dimension;
+      config.size = size;
       config.seed = 34;
       return hdc::make_scatter_basis(config);
     }
@@ -67,7 +69,7 @@ std::string temp_file(const std::string& name) {
   return (std::filesystem::path(testing::TempDir()) / name).string();
 }
 
-TEST(SnapshotEquivalenceTest, MappedBasisMatchesStreamLoadedBasis) {
+TEST(SnapshotEquivalenceTest, MappedBasisMatchesOriginal) {
   for (const BasisKind kind : {BasisKind::Random, BasisKind::Level,
                                BasisKind::Circular, BasisKind::Scatter}) {
     SCOPED_TRACE(hdc::to_string(kind));
@@ -81,37 +83,33 @@ TEST(SnapshotEquivalenceTest, MappedBasisMatchesStreamLoadedBasis) {
     const auto snapshot = MappedSnapshot::open(path);
     const Basis mapped = snapshot.basis(0);
 
-    std::stringstream stream;
-    hdc::write_basis(stream, original);
-    const Basis streamed = hdc::read_basis(stream);
-
     EXPECT_FALSE(mapped.owns_storage());
     EXPECT_EQ(mapped.resident_bytes(), 0U);
-    ASSERT_EQ(mapped.size(), streamed.size());
-    ASSERT_EQ(mapped.dimension(), streamed.dimension());
-    EXPECT_EQ(mapped.info().seed, streamed.info().seed);
-    for (std::size_t i = 0; i < streamed.size(); ++i) {
-      EXPECT_TRUE(mapped[i] == streamed[i]) << "row " << i;
+    ASSERT_EQ(mapped.size(), original.size());
+    ASSERT_EQ(mapped.dimension(), original.dimension());
+    EXPECT_EQ(mapped.info().seed, original.info().seed);
+    for (std::size_t i = 0; i < original.size(); ++i) {
+      EXPECT_TRUE(mapped[i] == original[i]) << "row " << i;
     }
     // nearest: identical cleanup decisions on noisy probes.
     Rng rng(7);
     for (int probe = 0; probe < 64; ++probe) {
       const Hypervector query = Hypervector::random(kDim, rng);
-      EXPECT_EQ(mapped.nearest(query), streamed.nearest(query));
+      EXPECT_EQ(mapped.nearest(query), original.nearest(query));
     }
     // detach(): the owning escape hatch is bit-exact too.
     const Basis detached = mapped.detach();
     EXPECT_TRUE(detached.owns_storage());
-    for (std::size_t i = 0; i < streamed.size(); ++i) {
-      EXPECT_TRUE(detached[i] == streamed[i]) << "row " << i;
+    for (std::size_t i = 0; i < original.size(); ++i) {
+      EXPECT_TRUE(detached[i] == original[i]) << "row " << i;
     }
     std::filesystem::remove(path);
   }
 }
 
-TEST(SnapshotEquivalenceTest, MappedEncodeDecodeMatchesStreamLoaded) {
+TEST(SnapshotEquivalenceTest, MappedEncodeDecodeMatchesOriginal) {
   // Level basis under a linear encoder, circular basis under a circular
-  // encoder: phi and phi^{-1} must agree between mapped and stream models.
+  // encoder: phi and phi^{-1} must agree between mapped and original models.
   const Basis level = make_basis(BasisKind::Level);
   const Basis circular = make_basis(BasisKind::Circular);
   const std::string path = temp_file("equiv_encoders.hdcs");
@@ -121,30 +119,24 @@ TEST(SnapshotEquivalenceTest, MappedEncodeDecodeMatchesStreamLoaded) {
   writer.write_file(path);
   const auto snapshot = MappedSnapshot::open(path);
 
-  std::stringstream stream;
-  hdc::write_basis(stream, level);
-  hdc::write_basis(stream, circular);
-  const Basis stream_level = hdc::read_basis(stream);
-  const Basis stream_circular = hdc::read_basis(stream);
-
   const hdc::LinearScalarEncoder mapped_linear(snapshot.basis(0), 0.0, 10.0);
-  const hdc::LinearScalarEncoder stream_linear(stream_level, 0.0, 10.0);
+  const hdc::LinearScalarEncoder original_linear(level, 0.0, 10.0);
   const hdc::CircularScalarEncoder mapped_circ(snapshot.basis(1), 360.0);
-  const hdc::CircularScalarEncoder stream_circ(stream_circular, 360.0);
+  const hdc::CircularScalarEncoder original_circ(circular, 360.0);
   for (int k = 0; k <= 50; ++k) {
     const double x = static_cast<double>(k) / 5.0;
-    EXPECT_TRUE(mapped_linear.encode(x) == stream_linear.encode(x));
+    EXPECT_TRUE(mapped_linear.encode(x) == original_linear.encode(x));
     EXPECT_DOUBLE_EQ(mapped_linear.decode(mapped_linear.encode(x)),
-                     stream_linear.decode(stream_linear.encode(x)));
+                     original_linear.decode(original_linear.encode(x)));
     const double angle = x * 36.0;
-    EXPECT_TRUE(mapped_circ.encode(angle) == stream_circ.encode(angle));
+    EXPECT_TRUE(mapped_circ.encode(angle) == original_circ.encode(angle));
     EXPECT_DOUBLE_EQ(mapped_circ.decode(mapped_circ.encode(angle)),
-                     stream_circ.decode(stream_circ.encode(angle)));
+                     original_circ.decode(original_circ.encode(angle)));
   }
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotEquivalenceTest, MappedClassifierMatchesStreamLoaded) {
+TEST(SnapshotEquivalenceTest, MappedClassifierMatchesOriginal) {
   Rng rng(11);
   hdc::CentroidClassifier original(4, kDim, 3);
   for (int i = 0; i < 40; ++i) {
@@ -160,20 +152,64 @@ TEST(SnapshotEquivalenceTest, MappedClassifierMatchesStreamLoaded) {
   const auto snapshot = MappedSnapshot::open(path);
   const hdc::CentroidClassifier mapped = snapshot.classifier(0);
 
-  std::stringstream stream;
-  hdc::write_classifier(stream, original);
-  const hdc::CentroidClassifier streamed = hdc::read_classifier(stream);
-
   EXPECT_FALSE(mapped.owns_storage());
   EXPECT_FALSE(mapped.trainable());
-  ASSERT_EQ(mapped.num_classes(), streamed.num_classes());
-  for (std::size_t c = 0; c < streamed.num_classes(); ++c) {
-    EXPECT_TRUE(mapped.class_vector(c) == streamed.class_vector(c));
+  ASSERT_EQ(mapped.num_classes(), original.num_classes());
+  for (std::size_t c = 0; c < original.num_classes(); ++c) {
+    EXPECT_TRUE(mapped.class_vector(c) == original.class_vector(c));
   }
   for (int probe = 0; probe < 64; ++probe) {
     const Hypervector query = Hypervector::random(kDim, rng);
-    EXPECT_EQ(mapped.predict(query), streamed.predict(query));
-    EXPECT_EQ(mapped.similarities(query), streamed.similarities(query));
+    EXPECT_EQ(mapped.predict(query), original.predict(query));
+    EXPECT_EQ(mapped.similarities(query), original.similarities(query));
+  }
+  std::filesystem::remove(path);
+}
+
+// A restored classifier carries its class-vectors but no accumulators: it
+// reports that up front, every training mutator refuses, and detach() is
+// the owning, bit-exact way out of the mapping.
+TEST(SnapshotEquivalenceTest, MappedClassifierIsInferenceOnly) {
+  Rng rng(12);
+  hdc::CentroidClassifier original(3, kDim, 5);
+  for (int i = 0; i < 30; ++i) {
+    original.add_sample(static_cast<std::size_t>(i) % 3,
+                        Hypervector::random(kDim, rng));
+  }
+  original.finalize();
+  EXPECT_TRUE(original.trainable());
+  EXPECT_FALSE(original.inference_only());
+
+  const std::string path = temp_file("equiv_inference_only.hdcs");
+  SnapshotWriter writer;
+  writer.add_classifier(original);
+  writer.write_file(path);
+  const auto snapshot = MappedSnapshot::open(path);
+  hdc::CentroidClassifier mapped = snapshot.classifier(0);
+
+  EXPECT_TRUE(mapped.finalized());
+  EXPECT_FALSE(mapped.trainable());
+  EXPECT_TRUE(mapped.inference_only());
+  const Hypervector sample = Hypervector::random(kDim, rng);
+  hdc::BundleAccumulator partial(kDim);
+  partial.add(sample);
+  EXPECT_THROW(mapped.add_sample(0, sample), std::logic_error);
+  EXPECT_THROW(mapped.absorb(0, partial), std::logic_error);
+  EXPECT_THROW((void)mapped.adapt(0, sample), std::logic_error);
+  EXPECT_THROW(mapped.finalize(), std::logic_error);
+  // Restored models report zero accumulated samples, not stale counts.
+  for (std::size_t c = 0; c < mapped.num_classes(); ++c) {
+    EXPECT_EQ(mapped.class_count(c), 0U) << "class " << c;
+  }
+  EXPECT_EQ(mapped.predict(sample), original.predict(sample));
+
+  const hdc::CentroidClassifier copy = mapped.detach();
+  EXPECT_TRUE(copy.owns_storage());
+  EXPECT_TRUE(copy.inference_only());
+  ASSERT_EQ(copy.num_classes(), original.num_classes());
+  for (std::size_t c = 0; c < copy.num_classes(); ++c) {
+    EXPECT_TRUE(copy.class_vector(c) == original.class_vector(c))
+        << "class " << c;
   }
   std::filesystem::remove(path);
 }
@@ -331,5 +367,69 @@ TEST(SnapshotEquivalenceTest, LockMemoryPinsMappingOrFailsLoudly) {
   }
   std::filesystem::remove(path);
 }
+
+struct RoundTripCase {
+  BasisKind kind;
+  std::size_t dimension;
+};
+
+std::string round_trip_name(
+    const ::testing::TestParamInfo<RoundTripCase>& info) {
+  return std::string(hdc::to_string(info.param.kind)) + "_d" +
+         std::to_string(info.param.dimension);
+}
+
+class SnapshotBasisRoundTripTest
+    : public ::testing::TestWithParam<RoundTripCase> {};
+
+// Writing a basis and reading it back, mapped or through the heap loader,
+// keeps every arena word and every BasisInfo field, across the word-tail
+// edge dimensions and the paper-scale ones; the owning copy carries no
+// capacity slack.
+TEST_P(SnapshotBasisRoundTripTest, PreservesEveryWordAndInfoField) {
+  const auto [kind, d] = GetParam();
+  const Basis original = make_basis(kind, d, d > 1'000 ? 8 : 16);
+  const std::string path =
+      temp_file(std::string("round_trip_") + hdc::to_string(kind) + "_d" +
+                std::to_string(d) + ".hdcs");
+  SnapshotWriter writer;
+  writer.add_basis(original);
+  writer.write_file(path);
+  const auto mapped = MappedSnapshot::open(path);
+  const auto heap = hdc::io::load_snapshot(path);
+  const auto expected = original.packed_words();
+  for (const Basis& loaded : {mapped.basis(0), heap.basis(0)}) {
+    const hdc::BasisInfo& info = loaded.info();
+    EXPECT_EQ(info.kind, original.info().kind);
+    EXPECT_EQ(info.method, original.info().method);
+    EXPECT_EQ(info.dimension, original.info().dimension);
+    EXPECT_EQ(info.size, original.info().size);
+    EXPECT_EQ(info.r, original.info().r);
+    EXPECT_EQ(info.seed, original.info().seed);
+    ASSERT_EQ(loaded.words_per_vector(), original.words_per_vector());
+    const auto words = loaded.packed_words();
+    ASSERT_EQ(words.size(), expected.size());
+    for (std::size_t w = 0; w < expected.size(); ++w) {
+      ASSERT_EQ(words[w], expected[w]) << "word " << w;
+    }
+    EXPECT_EQ(loaded.detach().resident_bytes(), original.resident_bytes());
+  }
+  std::filesystem::remove(path);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, SnapshotBasisRoundTripTest,
+    ::testing::ValuesIn([] {
+      std::vector<RoundTripCase> cases;
+      for (const BasisKind kind : {BasisKind::Random, BasisKind::Level,
+                                   BasisKind::Circular, BasisKind::Scatter}) {
+        for (const std::size_t d :
+             {1UL, 63UL, 64UL, 65UL, 127UL, 10'000UL, 10'240UL}) {
+          cases.push_back({kind, d});
+        }
+      }
+      return cases;
+    }()),
+    round_trip_name);
 
 }  // namespace

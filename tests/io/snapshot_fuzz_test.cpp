@@ -59,8 +59,9 @@ std::string snapshot_bytes() {
   for (int c = 0; c < 2; ++c) {
     class_vectors.push_back(Hypervector::random(70, rng));
   }
-  const auto classifier =
-      hdc::CentroidClassifier::from_class_vectors(class_vectors);
+  const auto classifier = hdc::CentroidClassifier::from_packed_class_words(
+      class_vectors.size(), 70,
+      hdc::WordStorage(hdc::pack_words(class_vectors)));
 
   hdc::LevelBasisConfig label_config;
   label_config.dimension = 70;

@@ -46,7 +46,7 @@ std::string temp_file(const std::string& name) {
       .string();
 }
 
-std::string write_classifier(const std::string& name) {
+std::string write_jigsaws(const std::string& name) {
   const std::string path = temp_file(name);
   const fixtures::ClassifierPipeline models =
       fixtures::make_classifier_pipeline();
@@ -91,7 +91,7 @@ void adapt_until_touched(AdaptiveState& state, std::size_t num_classes) {
 TEST(AdaptiveStateTest, ValidatesConstructionAndFeedback) {
   EXPECT_THROW(AdaptiveState(nullptr), std::invalid_argument);
 
-  const std::string path = write_classifier("validate.hdcs");
+  const std::string path = write_jigsaws("validate.hdcs");
   AdaptiveState state(pin(path));
   EXPECT_TRUE(state.classifies());
   const auto row = classifier_row(0);
@@ -111,7 +111,7 @@ TEST(AdaptiveStateTest, ValidatesConstructionAndFeedback) {
 }
 
 TEST(AdaptiveStateTest, AdaptBuildsOverlayAndReportsOutcomes) {
-  const std::string path = write_classifier("outcomes.hdcs");
+  const std::string path = write_jigsaws("outcomes.hdcs");
   const ServingStatePtr base = pin(path);
   AdaptiveState state(base);
 
@@ -151,7 +151,7 @@ TEST(AdaptiveStateTest, AdaptBuildsOverlayAndReportsOutcomes) {
 }
 
 TEST(AdaptiveStateTest, ExportedDeltaRestoresTheAdaptedModelExactly) {
-  const std::string path = write_classifier("export.hdcs");
+  const std::string path = write_jigsaws("export.hdcs");
   AdaptiveState state(pin(path));
   adapt_until_touched(state, 3);
 
@@ -214,7 +214,7 @@ TEST(AdaptiveStateTest, RegressorFeedbackAdaptsAndExports) {
 }
 
 TEST(AdaptiveStateTest, ExportAgainstTheWrongBaseIsRejected) {
-  const std::string path = write_classifier("wrongbase.hdcs");
+  const std::string path = write_jigsaws("wrongbase.hdcs");
   const std::string other = write_beijing("otherbase.hdcs");
   AdaptiveState state(pin(path));
   adapt_until_touched(state, 3);
@@ -227,7 +227,7 @@ TEST(AdaptiveStateTest, ExportAgainstTheWrongBaseIsRejected) {
 }
 
 TEST(AdaptiveStateTest, PublishedStateSharesTheBaseGeneration) {
-  const std::string path = write_classifier("publish.hdcs");
+  const std::string path = write_jigsaws("publish.hdcs");
   const ServingStatePtr base = pin(path);
   AdaptiveState state(base);
   EXPECT_EQ(state.published(), base);
@@ -285,7 +285,7 @@ std::vector<Scenario> scenarios() {
   std::vector<Scenario> out;
   Scenario numeric;
   numeric.name = "classifier";
-  numeric.path = write_classifier("plane_numeric.hdcs");
+  numeric.path = write_jigsaws("plane_numeric.hdcs");
   Scenario text;
   text.name = "text";
   text.path = write_text("plane_text.hdcs");

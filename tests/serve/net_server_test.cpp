@@ -569,7 +569,7 @@ TEST(NetServerTest, WorkerPoolFailureAnswersErrorInsteadOfClosing) {
   std::filesystem::remove(path);
 }
 
-std::string write_classifier(const std::string& name) {
+std::string write_jigsaws(const std::string& name) {
   const std::string path = temp_file(name);
   const fixtures::ClassifierPipeline models =
       fixtures::make_classifier_pipeline();
@@ -617,7 +617,7 @@ TEST(NetServerTest, AdaptDeltaAndABServingRoundTrip) {
   // feedback builds the overlay, `!delta` exports it, `!use` A/B-serves
   // base vs adapted from the same process, and `!reload DELTA` swaps the
   // default side to a model bit-identical to the overlay.
-  const std::string base_path = write_classifier("adapt_base.hdcs");
+  const std::string base_path = write_jigsaws("adapt_base.hdcs");
   const auto rows = classifier_rows(10);
   const auto base_oracle = classifier_oracle_lines(base_path, rows);
 
@@ -783,7 +783,7 @@ TEST(NetServerTest, AdaptedSideServesHeadsOfThePatchedSnapshot) {
     hdc::serve::HeadMode head;
   };
   const std::vector<Case> cases = {
-      {write_classifier("head_adapt_classifier.hdcs"), classifier_rows(10),
+      {write_jigsaws("head_adapt_classifier.hdcs"), classifier_rows(10),
        hdc::serve::HeadMode::Confidence},
       {write_beijing("head_adapt_regressor.hdcs", 2023), beijing_rows(10),
        hdc::serve::HeadMode::Band}};

@@ -1,9 +1,10 @@
 # hdcgen CLI smoke suite, run by ctest as `hdcgen_smoke`.
 #
 # Asserts the contract a shell user sees: snap -> snap-info round trips for
-# both basis and pipeline snapshots on a scratch directory, and bad args /
-# unknown subcommands / corrupt or truncated files exit nonzero with a
-# diagnostic instead of crashing.
+# both basis and pipeline snapshots on a scratch directory, the basis tools
+# (gen / info / dist / heatmap) on the same files, stdin serving that fills
+# whole batches, and bad args / unknown subcommands / corrupt or truncated
+# files exit nonzero with a diagnostic instead of crashing.
 #
 # Inputs: -DHDCGEN=<tool path> -DWORK_DIR=<scratch dir>
 
@@ -14,9 +15,9 @@ endif()
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
-# run(<ok|fail> <needle> <out_var> args...): invokes hdcgen, asserts the
-# exit code, and asserts <needle> appears in combined stdout+stderr (pass ""
-# to skip the output check).
+# run(<ok|fail> <needle> args...): invokes hdcgen, asserts the exit code,
+# and asserts <needle> appears in combined stdout+stderr (pass "" to skip
+# the output check).  The call's stdout is left in `run_stdout`.
 function(run expectation needle)
   execute_process(
     COMMAND "${HDCGEN}" ${ARGN}
@@ -36,6 +37,7 @@ function(run expectation needle)
     message(FATAL_ERROR
       "hdcgen ${pretty}: output lacks '${needle}'\n${all}")
   endif()
+  set(run_stdout "${out}" PARENT_SCOPE)
 endfunction()
 
 # run_stdin(<ok|fail> <needle> <input_file> args...): run() with stdin
@@ -78,6 +80,35 @@ run(ok "regressor pipeline" snap --pipeline regressor --dim 96
 run(ok "multiscale" snap-info "${WORK_DIR}/pipeline_reg.hdcs")
 run(ok "all sections OK" snap-info "${WORK_DIR}/pipeline_reg.hdcs")
 
+# --- gen writes the same basis-only snapshot as snap --kind, and the
+# basis tools read it: info prints the stored provenance, dist one row per
+# basis vector, heatmap the similarity map.
+run(ok "wrote" gen --kind circular --size 8 --dim 96 --r 0.1
+    --out "${WORK_DIR}/gen.hdcs")
+file(SHA256 "${WORK_DIR}/gen.hdcs" gen_sha)
+file(SHA256 "${WORK_DIR}/basis.hdcs" snap_sha)
+if(NOT gen_sha STREQUAL snap_sha)
+  message(FATAL_ERROR "gen and snap --kind wrote different files")
+endif()
+run(ok "kind:       circular" info "${WORK_DIR}/gen.hdcs")
+run(ok "mean bit density" info "${WORK_DIR}/gen.hdcs")
+run(ok "" dist "${WORK_DIR}/gen.hdcs")
+string(REGEX MATCHALL "\n" dist_rows "${run_stdout}")
+list(LENGTH dist_rows dist_row_count)
+if(NOT dist_row_count EQUAL 8)
+  message(FATAL_ERROR
+    "dist printed ${dist_row_count} rows for m = 8\n${run_stdout}")
+endif()
+run(ok "" heatmap "${WORK_DIR}/gen.hdcs")
+
+# The basis tools read exactly one basis section: a pipeline snapshot
+# (several) and a file in the retired HDC\x01 stream format are refused.
+run(fail "hdcgen: .*basis sections" info "${WORK_DIR}/pipeline_cls.hdcs")
+string(ASCII 1 soh)
+string(REPEAT "retired stream payload. " 4 legacy_payload)
+file(WRITE "${WORK_DIR}/legacy.hdc" "HDC${soh}${legacy_payload}")
+run(fail "hdcgen: .*not an HDCS snapshot" info "${WORK_DIR}/legacy.hdc")
+
 # --- snap-fixtures regenerates the full golden set.
 run(ok "pipeline_combined" snap-fixtures "${WORK_DIR}/fixtures")
 
@@ -96,6 +127,14 @@ run_stdin(ok "kernels = scalar" "${WORK_DIR}/one_row.csv"
     serve "${WORK_DIR}/pipeline_reg.hdcs" --kernel=scalar)
 run_stdin(fail "not a compiled-in kernel variant" "${WORK_DIR}/one_row.csv"
     serve "${WORK_DIR}/pipeline_reg.hdcs" --kernel bogus)
+
+# --- stdin serving fills whole batches under --flush-us: rows already in
+# the input are batched together, not flushed one at a time before each
+# read (6,400 rows / 64 per batch).
+string(REPEAT "100.5\n" 6400 many_rows)
+file(WRITE "${WORK_DIR}/many_rows.csv" "${many_rows}")
+run_stdin(ok "in 100 batches" "${WORK_DIR}/many_rows.csv"
+    serve "${WORK_DIR}/pipeline_reg.hdcs" --batch 64 --flush-us 1000000)
 
 # --- flag spellings: `--flag value` and `--flag=value` mix freely across
 # different flags, but the same flag twice — in any spelling combination —

@@ -1,12 +1,16 @@
-// hdcgen — generate, inspect and compare basis-hypervector files.
+// hdcgen — generate, inspect, compare and serve basis-hypervector and
+// model snapshots.
 //
 // Usage:
 //   hdcgen gen  --kind random|level|level-flip|circular|circular-cos|scatter
 //               --size M [--dim D] [--r R] [--seed S] --out FILE
+//                               # one basis in a basis-only snapshot
 //   hdcgen info FILE            # provenance + summary statistics
 //   hdcgen dist FILE            # pairwise distance matrix
 //   hdcgen heatmap FILE         # ASCII similarity heat map (paper Fig. 3)
-//   hdcgen snap ...             # like gen, but writes an HDCS snapshot
+//                               # (info/dist/heatmap read a snapshot that
+//                               # holds exactly one basis section)
+//   hdcgen snap ...             # same as gen
 //   hdcgen snap --pipeline classifier|regressor|beijing|text [--dim D]
 //               [--seed S] --out FILE
 //                               # a complete encode->predict pipeline
@@ -40,9 +44,8 @@
 //   hdcgen kernels              # CPU features + compiled/available SIMD
 //                               # kernel variants + active selection
 //
-// `gen` files use the library's portable stream format
-// (hdc/core/serialization); `snap*` and `serve` use the mmap-able HDCS
-// snapshot format (hdc/io/snapshot, docs/snapshot_format.md).
+// Every file this tool reads or writes is an mmap-able HDCS snapshot
+// (hdc/io/snapshot, docs/snapshot_format.md).
 //
 // Flags follow the `--name value` / `--name=value` shape shared by every
 // subcommand (tools/flag_parser.hpp).
@@ -51,7 +54,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -106,12 +108,25 @@ int usage() {
 
 using hdc::tools::FlagParser;
 
+/// The one basis section of the snapshot at \p path (what gen writes), as
+/// an owning copy; info/dist/heatmap refuse a file with none or several.
 hdc::Basis load_basis(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw std::runtime_error("cannot open " + path);
+  const auto snapshot = hdc::io::MappedSnapshot::open(path);
+  std::size_t found = 0;
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < snapshot.section_count(); ++i) {
+    if (snapshot.section(i).type == hdc::io::SectionType::BasisArena) {
+      found = i;
+      ++count;
+    }
   }
-  return hdc::read_basis(in);
+  if (count != 1) {
+    throw std::runtime_error(
+        path + " holds " + std::to_string(count) +
+        " basis sections; info, dist and heatmap read a file with exactly "
+        "one (hdcgen gen)");
+  }
+  return snapshot.basis(found).detach();
 }
 
 /// Builds the basis described by the gen/snap command-line flags; empty on
@@ -171,18 +186,17 @@ void print_basis_summary(const char* path, const hdc::Basis& basis) {
               info.r, static_cast<unsigned long long>(info.seed));
 }
 
+/// `gen`, and `snap` without --pipeline: one basis in a basis-only
+/// snapshot.
 int cmd_gen(const FlagParser& flags) {
   const auto out_path = flags.value("--out");
   const auto basis = basis_from_args(flags);
   if (!basis || !out_path) {
     return usage();
   }
-  std::ofstream out(*out_path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot write %s\n", out_path->c_str());
-    return 1;
-  }
-  hdc::write_basis(out, *basis);
+  hdc::io::SnapshotWriter writer;
+  writer.add_basis(*basis);
+  writer.write_file(*out_path);
   print_basis_summary(out_path->c_str(), *basis);
   return 0;
 }
@@ -240,15 +254,7 @@ int cmd_snap(const FlagParser& flags) {
                 writer.section_count());
     return 0;
   }
-  const auto basis = basis_from_args(flags);
-  if (!basis) {
-    return usage();
-  }
-  hdc::io::SnapshotWriter writer;
-  writer.add_basis(*basis);
-  writer.write_file(*out_path);
-  print_basis_summary(out_path->c_str(), *basis);
-  return 0;
+  return cmd_gen(flags);
 }
 
 int cmd_snap_info(const std::string& path) {
@@ -628,6 +634,11 @@ int cmd_serve(const FlagParser& flags, const std::string& path) {
 #endif
   }
 
+  // A std::cin synchronized with stdio never reports buffered input, so
+  // under --flush-us every read would seem to block and each row would be
+  // flushed as its own batch.  Unsynchronizing is safe because this path
+  // prints to stdout only through std::cout.
+  std::ios::sync_with_stdio(false);
   hdc::serve::RowReader reader(std::cin, plane.num_features(), input);
   hdc::serve::PredictionWriter writer(std::cout, output,
                                       flags.has("--latency"), head);
