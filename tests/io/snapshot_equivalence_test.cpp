@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -373,10 +374,15 @@ struct RoundTripCase {
   std::size_t dimension;
 };
 
-std::string round_trip_name(
-    const ::testing::TestParamInfo<RoundTripCase>& info) {
-  return std::string(hdc::to_string(info.param.kind)) + "_d" +
-         std::to_string(info.param.dimension);
+std::string round_trip_name(const RoundTripCase& c) {
+  return std::string(hdc::to_string(c.kind)) + "_d" +
+         std::to_string(c.dimension);
+}
+
+// Test listings print the parameter; without this they would dump its raw
+// bytes, padding included, and the listed names would change between runs.
+void PrintTo(const RoundTripCase& c, std::ostream* os) {
+  *os << round_trip_name(c);
 }
 
 class SnapshotBasisRoundTripTest
@@ -430,6 +436,8 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return cases;
     }()),
-    round_trip_name);
+    [](const ::testing::TestParamInfo<RoundTripCase>& info) {
+      return round_trip_name(info.param);
+    });
 
 }  // namespace

@@ -4,17 +4,24 @@
 // the readers, which must either raise SnapshotError or — when the flip
 // lands in inter-section padding, the only bytes no checksum covers —
 // yield models bit-identical to the originals.  No corruption may ever
-// construct a partial or altered model.  The suite runs under the
-// ASan/UBSan CI job, so "survives" also means no out-of-bounds read or
-// undefined behaviour on any path.
+// construct a partial or altered model.  SnapshotRuleTest then breaks one
+// header or table field at a time in a basis-only file, re-sealing the
+// table checksum, and asserts each structural rule by its message.  The
+// suite runs under the ASan/UBSan CI job, so "survives" also means no
+// out-of-bounds read or undefined behaviour on any path.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -81,6 +88,22 @@ std::string snapshot_bytes() {
   writer.add_classifier(classifier);
   writer.add_regressor(regressor);
 
+  std::stringstream out;
+  writer.write(out);
+  return out.str();
+}
+
+/// A basis-only snapshot, the file `hdcgen gen` writes: one circular
+/// BasisArena section at d = 70 (a partial tail word), alignment 64.
+std::string basis_snapshot_bytes() {
+  hdc::CircularBasisConfig config;
+  config.dimension = 70;
+  config.size = 4;
+  config.r = 0.25;
+  config.seed = 98;
+  const Basis basis = hdc::make_circular_basis(config);
+  SnapshotWriter writer(64);
+  writer.add_basis(basis);
   std::stringstream out;
   writer.write(out);
   return out.str();
@@ -248,29 +271,36 @@ std::vector<std::vector<std::uint64_t>> materialize_all(
   return payloads;
 }
 
+/// Stores the low \p width bytes of \p value little-endian at byte \p at.
+void store_le(std::string& bytes, std::size_t at, std::uint64_t value,
+              std::size_t width) {
+  for (std::size_t i = 0; i < width; ++i) {
+    bytes[at + i] = static_cast<char>((value >> (8 * i)) & 0xFFU);
+  }
+}
+
+/// Recomputes the header's table checksum over the (patched) section table,
+/// so the parser's *semantic* rules are exercised rather than the checksum.
+std::string reseal_table(std::string bytes) {
+  const std::uint32_t section_count =
+      hdc::io::detail::load_u32(as_bytes(bytes), 16);
+  const std::uint64_t checksum = hdc::io::xxhash64(
+      as_bytes(bytes).subspan(hdc::io::snapshot_header_bytes,
+                              section_count * hdc::io::snapshot_entry_bytes),
+      hdc::io::snapshot_version);
+  store_le(bytes, 32, checksum, 8);
+  return bytes;
+}
+
 /// Overwrites one u64 field of a section-table entry and re-seals the table
-/// checksum, so the parser's *semantic* rules are exercised rather than the
 /// checksum (the restore-misuse fixture factory).
 std::string patch_entry_u64(std::string bytes, std::size_t entry,
                             std::size_t field_offset, std::uint64_t value) {
-  const std::size_t at = 64 + entry * hdc::io::snapshot_entry_bytes +
-                         field_offset;
-  for (std::size_t i = 0; i < 8; ++i) {
-    bytes[at + i] = static_cast<char>((value >> (8 * i)) & 0xFFU);
-  }
-  const auto* raw = reinterpret_cast<const std::byte*>(bytes.data());
-  std::uint32_t section_count = 0;
-  for (std::size_t i = 4; i-- > 0;) {
-    section_count = (section_count << 8) |
-                    static_cast<unsigned char>(bytes[16 + i]);
-  }
-  const std::uint64_t checksum = hdc::io::xxhash64(
-      {raw + 64, section_count * hdc::io::snapshot_entry_bytes},
-      hdc::io::snapshot_version);
-  for (std::size_t i = 0; i < 8; ++i) {
-    bytes[32 + i] = static_cast<char>((checksum >> (8 * i)) & 0xFFU);
-  }
-  return bytes;
+  store_le(bytes,
+           hdc::io::snapshot_header_bytes +
+               entry * hdc::io::snapshot_entry_bytes + field_offset,
+           value, 8);
+  return reseal_table(std::move(bytes));
 }
 
 /// First section index of the given type; the snapshot must contain one.
@@ -386,19 +416,11 @@ TEST(SnapshotFuzzTest, ImplausibleTableFieldsAreRejectedWithoutAllocating) {
   // Rewriting the dimension field to an absurd value also breaks the table
   // checksum, so craft the check at the layer that owns the rule: the
   // parser must reject oversize fields even with a matching checksum.
-  // Build a 1-section snapshot, patch dimension, then re-checksum the table.
-  const std::string bytes = snapshot_bytes();
-  std::string corrupted = bytes;
+  // Patch dimension, then re-checksum the table.
+  std::string corrupted = snapshot_bytes();
   // dimension field of entry 0 lives at 64 + 8.
   corrupted[64 + 8 + 6] = '\x7F';  // blow past snapshot_sanity_limit
-  auto* raw = reinterpret_cast<std::byte*>(corrupted.data());
-  const std::size_t table_bytes =
-      corrupted.size() >= 64 ? 4 * hdc::io::snapshot_entry_bytes : 0;
-  const std::uint64_t checksum = hdc::io::xxhash64(
-      {raw + 64, table_bytes}, hdc::io::snapshot_version);
-  for (std::size_t i = 0; i < 8; ++i) {
-    corrupted[32 + i] = static_cast<char>((checksum >> (8 * i)) & 0xFFU);
-  }
+  corrupted = reseal_table(std::move(corrupted));
   EXPECT_THROW((void)MappedSnapshot::from_bytes(as_bytes(corrupted)),
                SnapshotError);
 }
@@ -624,5 +646,158 @@ TEST(SnapshotFuzzTest, WriterRejectsUnusableInputs) {
   EXPECT_THROW((void)writer.add_pipeline(mismatched, classifier),
                SnapshotError);
 }
+
+// Payload words are checksummed, so bits beyond the dimension reach a
+// reader only from a crafted file whose checksums were recomputed.  The
+// model constructors' own tail check must still refuse such a row instead
+// of serving it: bit flips alone never exercise this rule.
+TEST(SnapshotFuzzTest, ResealedTailBitsBeyondTheDimensionAreRejected) {
+  const std::string bytes = snapshot_bytes();
+  const auto layout = hdc::io::parse_snapshot_layout(as_bytes(bytes));
+  for (const std::size_t i : {std::size_t{0}, std::size_t{1}}) {
+    const hdc::io::SectionRecord& section = layout.sections[i];
+    SCOPED_TRACE(static_cast<int>(section.type));
+    ASSERT_EQ(section.dimension, 70U);
+    // Row 0's second word holds bits 64..127; bit 70 is past d = 70.
+    std::string corrupted = bytes;
+    corrupted[section.payload_offset + 8] ^= '\x40';
+    store_le(corrupted,
+             hdc::io::snapshot_header_bytes +
+                 i * hdc::io::snapshot_entry_bytes + 72,
+             hdc::io::xxhash64(as_bytes(corrupted).subspan(
+                 section.payload_offset, section.payload_bytes)),
+             8);
+    corrupted = reseal_table(std::move(corrupted));
+
+    std::istringstream in(corrupted);
+    for (const MappedSnapshot& snapshot :
+         {MappedSnapshot::from_bytes(as_bytes(corrupted)),
+          hdc::io::load_snapshot(in)}) {
+      // Both checksums agree with the crafted bytes...
+      EXPECT_NO_THROW(snapshot.verify());
+      // ...and the model is refused all the same.
+      if (i == 0) {
+        EXPECT_THROW((void)snapshot.basis(i), std::invalid_argument);
+      } else {
+        EXPECT_THROW((void)snapshot.classifier(i), std::invalid_argument);
+      }
+    }
+  }
+}
+
+/// One structural rule of the parser: the field a corrupted file breaks,
+/// the value it holds, and the words the SnapshotError must carry.
+struct RuleCase {
+  const char* name;
+  std::size_t at;  ///< Byte offset in the file; >= 64 lands in entry 0.
+  std::size_t width;
+  std::uint64_t value;
+  const char* rule;
+};
+
+// Test listings print the parameter; without this they would dump its raw
+// bytes, pointers included, and the listed names would change between runs.
+void PrintTo(const RuleCase& rule, std::ostream* os) { *os << rule.name; }
+
+constexpr std::size_t kEntry = hdc::io::snapshot_header_bytes;
+
+const RuleCase kRuleCases[] = {
+    // Header fields (no checksum covers them; each has a rule).
+    {"legacy_stream_magic", 0, 4, 0x01434448U, "bad magic"},
+    {"older_version", 4, 2, 3, "unsupported format version"},
+    {"big_endian_marker", 6, 2, 0x454CU, "endianness marker mismatch"},
+    {"header_size", 8, 4, 128, "header or section-entry size disagrees"},
+    {"entry_size", 12, 4, 64, "header or section-entry size disagrees"},
+    {"no_sections", 16, 4, 0, "implausible section count"},
+    {"table_past_end", 16, 4, 1000, "section table extends past the end"},
+    {"alignment_not_power_of_two", 20, 4, 96,
+     "payload alignment must be a power of two"},
+    {"alignment_below_floor", 20, 4, 32,
+     "payload alignment must be a power of two"},
+    {"recorded_size", 24, 8, 1U << 20, "recorded file size disagrees"},
+    {"table_checksum", 32, 8, 0, "section table checksum mismatch"},
+    {"reserved_header_byte", 40, 1, 1, "header reserved bytes must be zero"},
+    // Fields of the basis section's table entry, re-sealed.
+    {"unknown_section_type", kEntry + 0, 2, 11, "unknown section type"},
+    {"config_section_with_rows", kEntry + 0, 2,
+     static_cast<std::uint64_t>(hdc::io::SectionType::ScalarEncoderConfig),
+     "config sections carry no payload rows"},
+    {"basis_kind_out_of_range", kEntry + 2, 2, 4,
+     "unknown basis kind or level method"},
+    {"level_method_out_of_range", kEntry + 4, 2, 2,
+     "unknown basis kind or level method"},
+    {"label_encoder_on_basis", kEntry + 6, 2, 1,
+     "basis sections carry no encoder or aux fields"},
+    {"zero_dimension", kEntry + 8, 8, 0, "implausible dimension"},
+    {"oversize_dimension", kEntry + 8, 8,
+     hdc::io::snapshot_sanity_limit + 1, "implausible dimension"},
+    {"dimension_disagrees_with_payload", kEntry + 8, 8, 129,
+     "payload byte count disagrees with dimension and count"},
+    {"zero_rows", kEntry + 16, 8, 0, "implausible row count"},
+    {"oversize_rows", kEntry + 16, 8, hdc::io::snapshot_sanity_limit + 1,
+     "implausible row count"},
+    {"rows_disagree_with_payload", kEntry + 16, 8, 5,
+     "payload byte count disagrees with dimension and count"},
+    {"negative_r", kEntry + 24, 8, std::bit_cast<std::uint64_t>(-0.25),
+     "basis r out of [0, 1]"},
+    {"r_above_one", kEntry + 24, 8, std::bit_cast<std::uint64_t>(1.5),
+     "basis r out of [0, 1]"},
+    {"nan_r", kEntry + 24, 8,
+     std::bit_cast<std::uint64_t>(std::numeric_limits<double>::quiet_NaN()),
+     "basis r out of [0, 1]"},
+    {"reserved_param", kEntry + 32, 8, std::bit_cast<std::uint64_t>(1.0),
+     "nonzero reserved param"},
+    {"aux_reference_on_basis", kEntry + 48, 8, 0,
+     "basis sections carry no encoder or aux fields"},
+    {"misaligned_payload", kEntry + 56, 8, 8, "payload is not aligned"},
+    {"payload_inside_table", kEntry + 56, 8, 64,
+     "payload is out of order or out of bounds"},
+    {"payload_past_end", kEntry + 56, 8, std::uint64_t{1} << 40,
+     "payload is out of order or out of bounds"},
+    {"payload_bytes_disagree", kEntry + 64, 8, 72,
+     "payload byte count disagrees with dimension and count"},
+    {"secondary_reference_on_basis", kEntry + 80, 8, 0,
+     "unexpected secondary section reference"},
+    {"scale_list_on_basis", kEntry + 88, 8, 2,
+     "scale list on a non-multiscale section"},
+};
+
+class SnapshotRuleTest : public ::testing::TestWithParam<RuleCase> {};
+
+// Every structural rule the parser applies to the file `hdcgen gen` writes,
+// one field at a time.  A table patch is re-sealed, so the rule itself and
+// not the table checksum must catch it; both heap readers refuse the file
+// with that rule's message before any model exists.
+TEST_P(SnapshotRuleTest, ViolationIsRejectedWithItsRule) {
+  const RuleCase& rule = GetParam();
+  const std::string bytes = basis_snapshot_bytes();
+  ASSERT_NO_THROW((void)MappedSnapshot::from_bytes(as_bytes(bytes)));
+  std::string corrupted = bytes;
+  store_le(corrupted, rule.at, rule.value, rule.width);
+  ASSERT_NE(corrupted, bytes) << "the case must change the file";
+  if (rule.at >= hdc::io::snapshot_header_bytes) {
+    corrupted = reseal_table(std::move(corrupted));
+  }
+  const auto expect_rule = [&](const auto& load) {
+    try {
+      (void)load();
+      FAIL() << "corrupted snapshot accepted (wanted '" << rule.rule << "')";
+    } catch (const SnapshotError& error) {
+      EXPECT_NE(std::string(error.what()).find(rule.rule), std::string::npos)
+          << "actual error: " << error.what();
+    }
+  };
+  expect_rule([&] { return MappedSnapshot::from_bytes(as_bytes(corrupted)); });
+  expect_rule([&] {
+    std::istringstream in(corrupted);
+    return hdc::io::load_snapshot(in);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rules, SnapshotRuleTest, ::testing::ValuesIn(kRuleCases),
+    [](const ::testing::TestParamInfo<RuleCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
