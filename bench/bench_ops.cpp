@@ -445,11 +445,13 @@ void report_snapshot_load() {
 
 // Best-of-3 rows/s of the in-process `hdcgen serve` stack over a
 // trusted-mmap pipeline snapshot: \p stream replayed through RowReader,
-// micro-batched Server::run over the thread pool, plain predictions out.
-// Returns the rows served per run and the best rate.
+// micro-batched Server::run over the thread pool, plain predictions (with
+// \p head's fields) out.  Returns the rows served per run and the best
+// rate.
 std::pair<std::size_t, double> serve_rows_per_second(
     const std::string& snap_path, const std::string& stream,
-    std::size_t arity, hdc::serve::RowFormat format, std::size_t batch) {
+    std::size_t arity, hdc::serve::RowFormat format, std::size_t batch,
+    hdc::serve::HeadMode head = hdc::serve::HeadMode::None) {
   const auto snapshot = hdc::io::MappedSnapshot::open(
       snap_path, hdc::io::SnapshotIntegrity::Trust);
   hdc::serve::ServerOptions options;
@@ -464,8 +466,8 @@ std::pair<std::size_t, double> serve_rows_per_second(
     std::istringstream in(stream);
     std::ostringstream out;
     hdc::serve::RowReader reader(in, arity, format);
-    hdc::serve::PredictionWriter writer(out,
-                                        hdc::serve::OutputFormat::Plain);
+    hdc::serve::PredictionWriter writer(out, hdc::serve::OutputFormat::Plain,
+                                        /*with_latency=*/false, head);
     const auto stats = server.run(reader, writer);
     served_rows = stats.rows;
     best_rows_per_second =
@@ -477,9 +479,13 @@ std::pair<std::size_t, double> serve_rows_per_second(
 
 // Streaming-serve throughput: the whole `hdcgen serve` stack in process —
 // CSV rows through RowReader, micro-batched over the thread pool, plain
-// predictions out — over a trusted-mmap composed Beijing pipeline.  CI
-// archives the rows/s figure and gates it against
-// bench/baselines/BENCH_baseline.json (bench/compare_baseline.py).
+// predictions out — over a trusted-mmap composed Beijing pipeline.  The
+// same rows are then served with the p10/p50/p90 band head, and
+// band_ratio is the band rate over the plain rate of this run: the band
+// reads the profile of the label-grid sweep the point prediction already
+// makes, so a second sweep or an extra fork-join per batch shows as a
+// lower ratio on any runner.  CI archives the figures and gates them
+// against bench/baselines/BENCH_baseline.json (bench/compare_baseline.py).
 void report_serve_throughput() {
   constexpr std::size_t kDim = 10'240;
   constexpr std::size_t kRows = 4'096;
@@ -513,6 +519,10 @@ void report_serve_throughput() {
 
   const auto [served_rows, best_rows_per_second] = serve_rows_per_second(
       snap_path, csv, 3, hdc::serve::RowFormat::Csv, kBatch);
+  const double band_rows_per_second =
+      serve_rows_per_second(snap_path, csv, 3, hdc::serve::RowFormat::Csv,
+                            kBatch, hdc::serve::HeadMode::Band)
+          .second;
   std::filesystem::remove_all(dir);
 
   std::printf("\n[serve-throughput] d=%zu rows=%zu batch=%zu threads=%zu\n",
@@ -521,6 +531,10 @@ void report_serve_throughput() {
                   std::thread::hardware_concurrency()));
   std::printf("[serve-throughput] rows_per_second: %.0f\n",
               best_rows_per_second);
+  std::printf("[serve-throughput] band_rows_per_second: %.0f\n",
+              band_rows_per_second);
+  std::printf("[serve-throughput] band_ratio: %.3f\n",
+              band_rows_per_second / best_rows_per_second);
 }
 
 // Raw-text serve throughput: the `hdcgen serve --input text` stack in

@@ -28,6 +28,8 @@ METRIC_PATTERNS = {
         re.compile(r"\[snapshot-load\] mmap speedup:\s*([0-9.]+)"),
     "serve_throughput_rows_per_second":
         re.compile(r"\[serve-throughput\] rows_per_second:\s*([0-9.]+)"),
+    "serve_throughput_band_ratio":
+        re.compile(r"\[serve-throughput\] band_ratio:\s*([0-9.]+)"),
     "kernel_hamming_best_gbps":
         re.compile(r"\[kernel-hamming\] best_gbps:\s*([0-9.]+)"),
     "kernel_nearest_best_rows_per_second":

@@ -111,7 +111,7 @@ class ShardedServer final : public serve::PredictionPlane {
   /// classifier ranks report slice top-2 candidates merged with
   /// merge_top2(), regressor ranks report slice distance profiles that
   /// concatenate into the full label grid — so every head is bit-identical
-  /// to the single-process batch engines.
+  /// to the single-process plane.
   struct HeadBatchResult {
     std::vector<double> values;
     std::vector<double> confidences;  ///< One per row for classifiers.

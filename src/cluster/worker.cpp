@@ -15,6 +15,7 @@
 #include "hdc/core/regressor.hpp"
 #include "hdc/io/delta.hpp"
 #include "hdc/io/reload.hpp"
+#include "hdc/serve/prediction_plane.hpp"
 
 namespace hdc::cluster {
 
@@ -285,24 +286,23 @@ std::string Worker::handle_predict2(std::string_view body) {
 void Worker::predict_rows(const io::Pipeline& served,
                           std::span<const Hypervector> encoded, bool head,
                           std::string& out) const {
-  const bool classifies = served.kind() == io::PipelineKind::Classifier;
+  serve::HeadMode mode = serve::HeadMode::None;
+  if (head) {
+    mode = served.kind() == io::PipelineKind::Classifier
+               ? serve::HeadMode::Confidence
+               : serve::HeadMode::Band;
+  }
+  serve::RowScratch scratch(served);
   for (const Hypervector& query : encoded) {
-    if (classifies) {
-      if (head) {
-        const Top2 top = served.classifier().predict_top2(query);
-        put_f64(out, static_cast<double>(top.best.index));
-        put_f64(out, margin_confidence(top));
-      } else {
-        put_f64(out, static_cast<double>(served.classifier().predict(query)));
-      }
-    } else {
-      put_f64(out, served.regressor().predict(query));
-      if (head) {
-        const Band band = served.regressor().predict_band(query);
-        put_f64(out, band.p10);
-        put_f64(out, band.p50);
-        put_f64(out, band.p90);
-      }
+    const serve::RowAnswer answer =
+        serve::predict_row(served, query.words(), mode, scratch);
+    put_f64(out, answer.value);
+    if (mode == serve::HeadMode::Confidence) {
+      put_f64(out, answer.confidence);
+    } else if (mode == serve::HeadMode::Band) {
+      put_f64(out, answer.band.p10);
+      put_f64(out, answer.band.p50);
+      put_f64(out, answer.band.p90);
     }
   }
 }

@@ -79,6 +79,10 @@ class MultiScaleCircularEncoder final : public ScalarEncoder {
   [[nodiscard]] std::size_t index_of(double value) const override;
   [[nodiscard]] double value_of(std::size_t index) const override;
   [[nodiscard]] double decode(HypervectorView query) const override;
+  /// False: decode() sweeps the bound arena, not basis().
+  [[nodiscard]] bool decodes_on_basis() const noexcept override {
+    return false;
+  }
 
   /// The finest-scale basis (defines the public grid).  On a restored
   /// encoder this is the only materialized basis; the coarser scales live

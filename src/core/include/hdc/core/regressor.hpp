@@ -26,6 +26,12 @@
 
 namespace hdc {
 
+/// A point prediction and its band, read from one label-grid sweep.
+struct BandedValue {
+  double value = 0.0;
+  Band band{};
+};
+
 /// Single-hypervector HDC regressor.
 class HDRegressor {
  public:
@@ -98,19 +104,31 @@ class HDRegressor {
   /// dimension mismatch.
   [[nodiscard]] double predict(HypervectorView encoded_input) const;
 
-  /// The full label-grid distance profile behind predict(): distance of
-  /// M ⊗ phi(x̂) to each label-basis vector, written to out[0..m).  The
-  /// argmin of this profile (lowest index on ties) is exactly predict()'s
-  /// decoded grid point; the whole profile feeds band_from_distances() —
-  /// the regressor's distributional head.  \p out must hold labels().size()
-  /// entries.  \throws std::logic_error if not finalized;
-  /// std::invalid_argument on dimension or size mismatch.
-  void label_distances(HypervectorView encoded_input,
-                       std::span<std::size_t> out) const;
+  /// predict() on raw words and caller scratch, allocating nothing:
+  /// M ⊗ phi(x̂) is unbound into \p bound, then decoded.  Both spans hold
+  /// words_for(dimension()) words; \p encoded_words has zero tail bits.
+  /// \throws as predict(), or std::invalid_argument on a span size
+  /// mismatch.
+  [[nodiscard]] double predict(std::span<const std::uint64_t> encoded_words,
+                               std::span<std::uint64_t> bound) const;
+
+  /// predict() and predict_band() from one label-grid sweep on caller
+  /// scratch: the unbound query goes to \p bound (as in the overload
+  /// above), its distance to each label-basis vector to
+  /// distances[0..labels().size()), and the band is read from that
+  /// profile.  The value is the profile's lowest-index argmin when the
+  /// label encoder decodes on its basis (every encoder a snapshot
+  /// restores); otherwise decode() runs on the unbound query.  Either way
+  /// it equals predict().  \throws as the overload above, or
+  /// std::invalid_argument if \p distances is too short.
+  [[nodiscard]] BandedValue predict_with_band(
+      std::span<const std::uint64_t> encoded_words,
+      std::span<std::uint64_t> bound, std::span<std::size_t> distances) const;
 
   /// Distributional prediction: the p10/p50/p90 weighted-quantile band of
   /// the label grid under the similarity profile of M ⊗ phi(x̂)
-  /// (band_from_distances()).  Same preconditions as predict().
+  /// (band_from_distances()), from predict_with_band()'s sweep.  Same
+  /// preconditions as predict().
   [[nodiscard]] Band predict_band(HypervectorView encoded_input) const;
 
   /// Extension: integer-accumulator prediction.  For each label vector L_l,
@@ -132,6 +150,10 @@ class HDRegressor {
   HDRegressor(ScalarEncoderPtr labels, restore_t);
 
   void require_trainable(const char* where) const;
+  /// bound = M ⊗ encoded, after the finalized and span-size checks of the
+  /// scratch readouts (\p where names the caller in the error).
+  void unbind(std::span<const std::uint64_t> encoded_words,
+              std::span<std::uint64_t> bound, const char* where) const;
 
   ScalarEncoderPtr labels_;
   /// 1-slot placeholder on inference-only models (see restore_t).

@@ -43,6 +43,15 @@ class ScalarEncoder {
   /// phi^{-1}: nearest-basis-vector cleanup followed by value_of.
   [[nodiscard]] virtual double decode(HypervectorView query) const = 0;
 
+  /// Whether decode() is value_of() of the query's nearest basis() row
+  /// (lowest index on ties), so a caller that already holds the query's
+  /// distances to basis() can decode from their argmin instead of sweeping
+  /// again.  The multi-scale encoder decodes against its bound arena and
+  /// says false.
+  [[nodiscard]] virtual bool decodes_on_basis() const noexcept {
+    return true;
+  }
+
   /// The underlying basis set.
   [[nodiscard]] virtual const Basis& basis() const noexcept = 0;
 

@@ -1,5 +1,6 @@
 #include "hdc/core/regressor.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -99,26 +100,50 @@ double HDRegressor::predict(HypervectorView encoded_input) const {
   return labels_->decode(model_ ^ encoded_input);
 }
 
-void HDRegressor::label_distances(HypervectorView encoded_input,
-                                  std::span<std::size_t> out) const {
-  if (!finalized_) {
-    throw std::logic_error("HDRegressor::label_distances: call finalize() first");
-  }
-  require(encoded_input.dimension() == dimension(),
-          "HDRegressor::label_distances", "input dimension mismatch");
+double HDRegressor::predict(std::span<const std::uint64_t> encoded_words,
+                            std::span<std::uint64_t> bound) const {
+  unbind(encoded_words, bound, "HDRegressor::predict");
+  return labels_->decode(row_view(bound, dimension(), bound.size(), 0));
+}
+
+BandedValue HDRegressor::predict_with_band(
+    std::span<const std::uint64_t> encoded_words,
+    std::span<std::uint64_t> bound, std::span<std::size_t> distances) const {
+  unbind(encoded_words, bound, "HDRegressor::predict_with_band");
   const Basis& basis = labels_->basis();
-  require(out.size() >= basis.size(), "HDRegressor::label_distances",
-          "out must hold one distance per label grid point");
-  std::vector<std::uint64_t> bound(bits::words_for(dimension()));
-  bits::xor_rows(bound, model_.words(), encoded_input.words());
+  require(distances.size() >= basis.size(), "HDRegressor::predict_with_band",
+          "distances must hold one entry per label grid point");
+  const std::span<std::size_t> profile = distances.first(basis.size());
   bits::hamming_many(bound, basis.packed_words(), basis.words_per_vector(),
-                     basis.size(), out);
+                     basis.size(), profile);
+  // The first minimum is the lowest-index argmin decode()'s cleanup picks.
+  const double value =
+      labels_->decodes_on_basis()
+          ? labels_->value_of(static_cast<std::size_t>(
+                std::min_element(profile.begin(), profile.end()) -
+                profile.begin()))
+          : labels_->decode(row_view(bound, dimension(), bound.size(), 0));
+  return {value, band_from_distances(profile, *labels_, dimension())};
 }
 
 Band HDRegressor::predict_band(HypervectorView encoded_input) const {
+  require(encoded_input.dimension() == dimension(),
+          "HDRegressor::predict_band", "input dimension mismatch");
+  std::vector<std::uint64_t> bound(bits::words_for(dimension()));
   std::vector<std::size_t> distances(labels_->size());
-  label_distances(encoded_input, distances);
-  return band_from_distances(distances, *labels_, dimension());
+  return predict_with_band(encoded_input.words(), bound, distances).band;
+}
+
+void HDRegressor::unbind(std::span<const std::uint64_t> encoded_words,
+                         std::span<std::uint64_t> bound,
+                         const char* where) const {
+  if (!finalized_) {
+    throw std::logic_error(std::string(where) + ": call finalize() first");
+  }
+  const std::size_t words = bits::words_for(dimension());
+  require(encoded_words.size() == words && bound.size() == words, where,
+          "word spans must hold words_for(dimension()) words");
+  bits::xor_rows(bound, model_.words(), encoded_words);
 }
 
 double HDRegressor::predict_integer(HypervectorView encoded_input) const {

@@ -16,8 +16,8 @@
 ///    touched rows are re-thresholded.  The mmapped base keeps serving
 ///    untouched, so base and adapted models are A/B-servable from one
 ///    process (`!use base|adapted`);
-///  * `published()` hands out the latest adapted state; the batch engines
-///    serve it like any other generation, and the predict entry points
+///  * `published()` hands out the latest adapted state; the planes serve
+///    it like any other generation, and the predict entry points
 ///    below answer one row over it;
 ///  * `export_delta()` writes the adapted-vs-base difference as an HDCS v4
 ///    delta file — every row is compared against the base snapshot *file*,
@@ -104,7 +104,7 @@ class AdaptiveState {
   [[nodiscard]] double predict_text(std::string_view text) const;
 
   /// Head-carrying one-row predictions over published(), the values the
-  /// batch engines' heads give (hdc/core/confidence.hpp).  top2 variants
+  /// planes' heads give (hdc/core/confidence.hpp).  top2 variants
   /// \throws std::logic_error on regressors, band variants on classifiers;
   /// _text variants on numeric pipelines and the numeric ones on text
   /// pipelines.

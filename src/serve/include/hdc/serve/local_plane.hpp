@@ -2,7 +2,7 @@
 #define HDC_SERVE_LOCAL_PLANE_HPP
 
 /// \file local_plane.hpp
-/// \brief The in-process prediction plane: shared batch engines over a
+/// \brief The in-process prediction plane: one pass per batch over a
 /// hot-swappable snapshot.
 ///
 /// `LocalPlane` is what a single-process server predicts with:
@@ -11,22 +11,27 @@
 ///    (`io::load_pipeline_or_delta` + `io::ensure_swappable`), then flips
 ///    the active `ServingState`; batches already predicting finish on
 ///    theirs.  A delta file patches the last *full* snapshot loaded;
-///  * the batch engines and the worker pool are built on the first batch
-///    after each swap and shared by every caller, so a control-only server
-///    never pays for a pool and a bad thread count fails the first batch;
+///  * a batch takes the served state and the worker pool (created on the
+///    first batch, so a control-only server never pays for one and a bad
+///    thread count fails that batch) under the mutex, then answers in one
+///    fork-join round: each chunk encodes its rows through the served
+///    `io::Pipeline` and answers each one at once with `predict_row()` on
+///    its own scratch, writing straight into the batch's `Predictions`.
+///    There is no per-batch arena and no engine to build per generation;
 ///  * `!adapt` feedback lands in an `AdaptiveState` pinned to the active
 ///    generation, which publishes each adapted model as a `ServingState`;
 ///    `adapted` predictions (the `!use adapted` side of the A/B) serve the
-///    latest one through the same batch engines, built once per published
-///    model.
+///    latest one the same way.
 ///
-/// No lock is held across a predict.
+/// No lock is held across a predict; the batch holds its state, so a
+/// reload cannot unmap it mid-batch.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "hdc/io/snapshot.hpp"
 #include "hdc/runtime/batch_encoder.hpp"
@@ -65,14 +70,12 @@ class LocalPlane final : public PredictionPlane {
   [[nodiscard]] bool has_adapted_side() const override { return true; }
 
  private:
-  struct Engines;
-
   /// The active generation (never null).
   [[nodiscard]] ServingStatePtr active() const;
-  /// The engines of the active generation, or with \p adapted of the
-  /// latest published adapted state, built (with the pool) on first use
-  /// after each swap or publish.
-  [[nodiscard]] std::shared_ptr<const Engines> engines(bool adapted);
+  /// What one batch serves: the active generation, or with \p adapted the
+  /// latest published adapted state; and the pool, created on first use.
+  [[nodiscard]] std::pair<ServingStatePtr, runtime::ThreadPoolPtr> serving(
+      bool adapted);
   /// The adaptation pinned to the active generation, created on first use
   /// and replaced (feedback discarded, by design: it targeted a retired
   /// model) whenever a reload has swapped the active state since.
@@ -84,8 +87,6 @@ class LocalPlane final : public PredictionPlane {
   mutable std::mutex mutex_;  ///< Guards the members below, briefly.
   ServingStatePtr active_;
   runtime::ThreadPoolPtr pool_;
-  std::shared_ptr<const Engines> engines_;
-  std::shared_ptr<const Engines> adapted_engines_;
   AdaptiveStatePtr adaptive_;
   std::string base_path_;  ///< What delta reloads and `!delta` diff against.
 };

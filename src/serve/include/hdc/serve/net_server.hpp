@@ -17,8 +17,8 @@
 ///    partial batch (the blocking `Server::run` can only approximate this;
 ///    see ServerOptions::flush_interval);
 ///  * all connections predict through one shared `PredictionPlane`: a
-///    `LocalPlane`, whose batch engines and worker pool are built once per
-///    model generation, or the cluster coordinator;
+///    `LocalPlane`, which answers each batch in one round of its worker
+///    pool (built on the first batch), or the cluster coordinator;
 ///  * a local plane hot-swaps its model with zero downtime: a reload maps
 ///    and fully validates the new snapshot off to the side
 ///    (`io::load_pipeline` + `io::ensure_swappable`), then flips the active
@@ -63,7 +63,7 @@
 ///   * `!use base|adapted` → A/B switch for *this connection's* data rows:
 ///                        `adapted` serves them from the latest published
 ///                        model, `base` (the default) from the swap state,
-///                        both through the same batch engines.
+///                        both in the same one pass per batch.
 ///   * `!delta PATH`    → exports the adapted-vs-base difference as an HDCS
 ///                        delta file at PATH (`!ok delta rows=N path=PATH`);
 ///                        `!reload PATH` on any replica of the same base —

@@ -40,6 +40,36 @@ struct Predictions {
   std::vector<Band> bands;
 };
 
+/// Per-thread scratch of predict_row(), sized once for a pipeline's model:
+/// the unbound query of a regressor and one distance per class or
+/// label-grid point.
+struct RowScratch {
+  explicit RowScratch(const io::Pipeline& pipeline);
+
+  std::vector<std::uint64_t> bound;
+  std::vector<std::size_t> distances;
+};
+
+/// One row's answer: the value (a classifier's label as a double) and the
+/// head field predict_row() was asked for; the other stays zero.
+struct RowAnswer {
+  double value = 0.0;
+  double confidence = 0.0;
+  Band band{};
+};
+
+/// Answers one row already encoded over \p pipeline: nearest class, or its
+/// top-2 and margin confidence under HeadMode::Confidence; the decoded
+/// label value, or with HeadMode::Band the value and band from one
+/// label-grid sweep.  A head that does not suit the model's kind is
+/// ignored.  Allocates nothing; bit-identical to the per-row Pipeline
+/// oracles (classify, regress, predict_top2, predict_band).
+/// \pre \p scratch was built for a pipeline with the same model shape and
+/// \p encoded holds words_for(pipeline.dimension()) words.
+[[nodiscard]] RowAnswer predict_row(const io::Pipeline& pipeline,
+                                    std::span<const std::uint64_t> encoded,
+                                    HeadMode head, RowScratch& scratch);
+
 /// A plane could not answer a batch at all: a dead or diverged cluster
 /// rank, a torn generation.  The stdin front end appends its input position
 /// with append() and rethrows the same object, so callers still catch the

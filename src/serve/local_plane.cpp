@@ -1,28 +1,12 @@
 #include "hdc/serve/local_plane.hpp"
 
-#include <optional>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
+#include "hdc/core/hypervector.hpp"
 #include "hdc/io/delta.hpp"
-#include "hdc/runtime/batch_classifier.hpp"
-#include "hdc/runtime/batch_regressor.hpp"
-#include "hdc/runtime/batch_text_encoder.hpp"
 
 namespace hdc::serve {
-
-/// Everything one generation's batches need, bundled so a hot swap replaces
-/// it wholesale.  `state` is declared first: members are destroyed in
-/// reverse order, so the engines borrowing the mapping die before the
-/// bundle that may hold its last reference.
-struct LocalPlane::Engines {
-  ServingStatePtr state;
-  std::optional<runtime::BatchEncoder> encoder;
-  std::optional<runtime::BatchTextEncoder> text_encoder;
-  std::optional<runtime::BatchClassifier> classifier;
-  std::optional<runtime::BatchRegressor> regressor;
-};
 
 LocalPlane::LocalPlane(ServingStatePtr initial, std::size_t num_threads,
                        io::MappingOptions mapping,
@@ -48,33 +32,15 @@ std::string LocalPlane::base_path() const {
   return base_path_;
 }
 
-std::shared_ptr<const LocalPlane::Engines> LocalPlane::engines(bool adapted) {
+std::pair<ServingStatePtr, runtime::ThreadPoolPtr> LocalPlane::serving(
+    bool adapted) {
   // The adapted side serves whatever the adaptation last published.
-  const ServingStatePtr published =
-      adapted ? adaptive_state()->published() : nullptr;
+  ServingStatePtr state = adapted ? adaptive_state()->published() : nullptr;
   const std::lock_guard<std::mutex> lock(mutex_);
-  const ServingStatePtr& state = adapted ? published : active_;
-  std::shared_ptr<const Engines>& slot = adapted ? adapted_engines_ : engines_;
-  if (slot == nullptr || slot->state != state) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_shared<runtime::ThreadPool>(num_threads_);
-    }
-    auto fresh = std::make_shared<Engines>();
-    fresh->state = state;
-    const io::Pipeline& pipeline = state->pipeline();
-    if (pipeline.input() == io::PipelineInput::Text) {
-      fresh->text_encoder.emplace(pipeline.batch_text_encoder(pool_));
-    } else {
-      fresh->encoder.emplace(pipeline.batch_encoder(pool_));
-    }
-    if (pipeline.kind() == io::PipelineKind::Classifier) {
-      fresh->classifier.emplace(pipeline.batch_classifier(pool_));
-    } else {
-      fresh->regressor.emplace(pipeline.batch_regressor(pool_));
-    }
-    slot = std::move(fresh);
+  if (pool_ == nullptr) {
+    pool_ = std::make_shared<runtime::ThreadPool>(num_threads_);
   }
-  return slot;
+  return {adapted ? std::move(state) : active_, pool_};
 }
 
 AdaptiveStatePtr LocalPlane::adaptive_state() {
@@ -87,36 +53,42 @@ AdaptiveStatePtr LocalPlane::adaptive_state() {
 
 void LocalPlane::predict(const RowBatch& batch, HeadMode head, bool adapted,
                          Predictions& out) {
-  out.values.clear();
-  out.confidences.clear();
-  out.bands.clear();
   const bool text = input() == io::PipelineInput::Text;
   if (text ? !batch.rows.empty() : !batch.text_rows.empty()) {
     throw std::logic_error(
         "LocalPlane::predict: the rows disagree with the pipeline's input "
         "mode");
   }
-  if (batch.rows.empty() && batch.text_rows.empty()) {
+  const std::size_t count = text ? batch.text_rows.size() : batch.rows.size();
+  const bool classifies = kind() == io::PipelineKind::Classifier;
+  const bool confidence = classifies && head == HeadMode::Confidence;
+  const bool band = !classifies && head == HeadMode::Band;
+  out.values.assign(count, 0.0);
+  out.confidences.assign(confidence ? count : 0, 0.0);
+  out.bands.assign(band ? count : 0, Band{});
+  if (count == 0) {
     return;
   }
-  const std::shared_ptr<const Engines> e = engines(adapted);
-  const runtime::VectorArena encoded =
-      text ? e->text_encoder->encode(batch.text_rows)
-           : e->encoder->encode(batch.rows);
-  if (e->classifier && head == HeadMode::Confidence) {
-    for (const Top2& top : e->classifier->predict_top2(encoded)) {
-      out.values.push_back(static_cast<double>(top.best.index));
-      out.confidences.push_back(margin_confidence(top));
+  // Held until the batch is answered, so a reload cannot unmap it.
+  const auto [state, pool] = serving(adapted);
+  const io::Pipeline& pipeline = state->pipeline();
+  pool->for_chunks(count, [&](std::size_t begin, std::size_t end,
+                              std::size_t /*chunk*/) {
+    RowScratch scratch(pipeline);
+    for (std::size_t i = begin; i < end; ++i) {
+      const Hypervector encoded = text
+                                      ? pipeline.encode_text(batch.text_rows[i])
+                                      : pipeline.encode(batch.rows[i]);
+      const RowAnswer answer =
+          predict_row(pipeline, encoded.words(), head, scratch);
+      out.values[i] = answer.value;
+      if (confidence) {
+        out.confidences[i] = answer.confidence;
+      } else if (band) {
+        out.bands[i] = answer.band;
+      }
     }
-  } else if (e->classifier) {
-    const std::vector<std::size_t> labels = e->classifier->predict(encoded);
-    out.values.assign(labels.begin(), labels.end());
-  } else {
-    out.values = e->regressor->predict(encoded);
-    if (head == HeadMode::Band) {
-      out.bands = e->regressor->predict_band(encoded);
-    }
-  }
+  });
 }
 
 AdaptOutcome LocalPlane::adapt(double target, const RowBatch& sample) {

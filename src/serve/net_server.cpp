@@ -392,7 +392,7 @@ void NetServer::serve_connection(int fd) {
   } catch (const WriteError&) {
     // The peer is gone mid-batch: nobody is left to answer.
   } catch (const std::exception& e) {
-    // Building the serving machinery (worker pool, batch engines) or a
+    // Building the serving machinery (the worker pool) or a
     // cluster exchange failed: answer *something* instead of silently
     // closing, and drop only this connection — the server keeps running.
     send_all(fd, std::string("!error server error: ") + e.what() + "\n");

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "hdc/core/ops.hpp"
 
@@ -71,6 +72,11 @@ struct ProfileCase {
   std::size_t size;
   std::uint64_t seed;
 };
+
+// Names the case in test listings instead of gtest's raw byte dump.
+void PrintTo(const ProfileCase& c, std::ostream* os) {
+  *os << "d" << c.dimension << "_m" << c.size << "_seed" << c.seed;
+}
 
 class CircularProfileTest : public ::testing::TestWithParam<ProfileCase> {};
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "hdc/core/ops.hpp"
 
@@ -78,6 +79,11 @@ struct Prop41Case {
   std::size_t size;
   std::uint64_t seed;
 };
+
+// Names the case in test listings instead of gtest's raw byte dump.
+void PrintTo(const Prop41Case& c, std::ostream* os) {
+  *os << "d" << c.dimension << "_m" << c.size << "_seed" << c.seed;
+}
 
 class Proposition41Test : public ::testing::TestWithParam<Prop41Case> {};
 

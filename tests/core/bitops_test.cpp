@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <vector>
 
 #include "hdc/base/rng.hpp"
@@ -79,6 +80,11 @@ struct ShiftCase {
   std::size_t bit_count;
   std::size_t shift;
 };
+
+// Names the case in test listings instead of gtest's raw byte dump.
+void PrintTo(const ShiftCase& c, std::ostream* os) {
+  *os << "bits" << c.bit_count << "_shift" << c.shift;
+}
 
 class ShiftParamTest : public ::testing::TestWithParam<ShiftCase> {};
 

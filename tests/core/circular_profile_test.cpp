@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <ostream>
 
 #include "hdc/core/basis_circular.hpp"
 #include "hdc/core/ops.hpp"
@@ -57,6 +58,11 @@ struct CosineCase {
   std::size_t size;
   std::uint64_t seed;
 };
+
+// Names the case in test listings instead of gtest's raw byte dump.
+void PrintTo(const CosineCase& c, std::ostream* os) {
+  *os << "d" << c.dimension << "_m" << c.size << "_seed" << c.seed;
+}
 
 class CosineProfileParamTest : public ::testing::TestWithParam<CosineCase> {};
 

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "hdc/core/basis_circular.hpp"
 #include "hdc/core/basis_level.hpp"
@@ -22,6 +23,11 @@ struct GridCase {
   std::size_t size;
   std::uint64_t seed;
 };
+
+// Names the case in test listings instead of gtest's raw byte dump.
+void PrintTo(const GridCase& c, std::ostream* os) {
+  *os << "m" << c.size << "_seed" << c.seed;
+}
 
 class LevelEncoderPropertyTest : public ::testing::TestWithParam<GridCase> {};
 

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "hdc/core/basis_circular.hpp"
 #include "hdc/core/basis_level.hpp"
 #include "hdc/core/basis_random.hpp"
+#include "hdc/core/multiscale_encoder.hpp"
 #include "hdc/core/ops.hpp"
 #include "hdc/stats/circular.hpp"
 
@@ -179,6 +182,78 @@ TEST(RegressorTest, LabelsAccessorExposesEncoder) {
   HDRegressor model(labels, 11);
   EXPECT_EQ(&model.labels(), labels.get());
   EXPECT_EQ(model.dimension(), 128U);
+}
+
+TEST(RegressorTest, ScratchReadoutsMatchPredictAndPredictBand) {
+  // The one-sweep readout decodes from the profile's argmin only where the
+  // label encoder decodes on its basis; the multi-scale encoder sweeps its
+  // bound arena, so its value must still come out as predict()'s.
+  constexpr std::size_t d = 1'000;
+  hdc::MultiScaleCircularEncoder::Config multiscale;
+  multiscale.dimension = d;
+  multiscale.scales = {4, 16};
+  multiscale.period = hdc::stats::two_pi;
+  multiscale.seed = 7;
+  const std::vector<hdc::ScalarEncoderPtr> label_encoders = {
+      label_encoder(0.0, 1.0, d), angle_encoder(d, 16),
+      std::make_shared<hdc::MultiScaleCircularEncoder>(multiscale)};
+  EXPECT_TRUE(label_encoders[0]->decodes_on_basis());
+  EXPECT_TRUE(label_encoders[1]->decodes_on_basis());
+  EXPECT_FALSE(label_encoders[2]->decodes_on_basis());
+  Rng rng(21);
+  for (const hdc::ScalarEncoderPtr& labels : label_encoders) {
+    HDRegressor model(labels, 5);
+    for (int i = 0; i < 40; ++i) {
+      model.add_sample(hdc::Hypervector::random(d, rng),
+                       labels->value_of(static_cast<std::size_t>(i) %
+                                        labels->size()));
+    }
+    model.finalize();
+    std::vector<std::uint64_t> bound(hdc::bits::words_for(d));
+    std::vector<std::size_t> distances(labels->size() + 3, 7);
+    for (int q = 0; q < 30; ++q) {
+      const auto query = hdc::Hypervector::random(d, rng);
+      const hdc::BandedValue banded =
+          model.predict_with_band(query.words(), bound, distances);
+      EXPECT_EQ(banded.value, model.predict(query));
+      EXPECT_EQ(model.predict(query.words(), bound), model.predict(query));
+      const hdc::Band band = model.predict_band(query);
+      EXPECT_EQ(banded.band.p10, band.p10);
+      EXPECT_EQ(banded.band.p50, band.p50);
+      EXPECT_EQ(banded.band.p90, band.p90);
+      // The profile lands in the caller's buffer; entries past the grid
+      // stay untouched.
+      const auto unbound = model.model() ^ query;
+      for (std::size_t j = 0; j < labels->size(); ++j) {
+        EXPECT_EQ(distances[j],
+                  hdc::hamming_distance(unbound, labels->basis()[j]));
+      }
+      EXPECT_EQ(distances[labels->size()], 7U);
+    }
+  }
+}
+
+TEST(RegressorTest, ScratchReadoutsValidateTheirSpans) {
+  const auto labels = label_encoder(0.0, 1.0, 256);
+  HDRegressor model(labels, 3);
+  Rng rng(4);
+  const auto query = hdc::Hypervector::random(256, rng);
+  std::vector<std::uint64_t> bound(hdc::bits::words_for(256));
+  std::vector<std::size_t> distances(labels->size());
+  EXPECT_THROW((void)model.predict(query.words(), bound), std::logic_error);
+  EXPECT_THROW((void)model.predict_with_band(query.words(), bound, distances),
+               std::logic_error);
+  model.add_sample(query, 0.5);
+  model.finalize();
+  std::vector<std::uint64_t> short_bound(bound.size() - 1);
+  std::vector<std::size_t> short_distances(labels->size() - 1);
+  EXPECT_THROW((void)model.predict(query.words(), short_bound),
+               std::invalid_argument);
+  EXPECT_THROW((void)model.predict(query.words().first(2), bound),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)model.predict_with_band(query.words(), bound, short_distances),
+      std::invalid_argument);
 }
 
 }  // namespace

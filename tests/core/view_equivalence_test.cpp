@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <vector>
 
 #include "hdc/core/basis_circular.hpp"
@@ -35,6 +36,12 @@ struct SweepCase {
 std::string case_name(const ::testing::TestParamInfo<SweepCase>& info) {
   return std::string(hdc::to_string(info.param.kind)) + "_d" +
          std::to_string(info.param.dimension);
+}
+
+// Test listings print the parameter; without this they would dump its raw
+// bytes, padding included, and the listed names would change between runs.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << hdc::to_string(c.kind) << "_d" << c.dimension;
 }
 
 Basis make_basis(BasisKind kind, std::size_t d, std::size_t m,

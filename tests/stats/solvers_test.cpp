@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "hdc/base/rng.hpp"
@@ -83,6 +84,11 @@ struct AbsorptionCase {
   std::size_t dimension;
   std::size_t target;
 };
+
+// Names the case in test listings instead of gtest's raw byte dump.
+void PrintTo(const AbsorptionCase& c, std::ostream* os) {
+  *os << "d" << c.dimension << "_target" << c.target;
+}
 
 class AbsorptionTest : public ::testing::TestWithParam<AbsorptionCase> {};
 

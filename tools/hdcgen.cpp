@@ -520,7 +520,7 @@ int cmd_serve(const FlagParser& flags, const std::string& path) {
   std::unique_ptr<hdc::cluster::ShardedServer> sharded =
       make_sharded(flags, path, integrity, mapping);
   // Every front end below predicts through one plane: the coordinator, or
-  // the in-process engines over the mapped snapshot.
+  // the in-process plane over the mapped snapshot.
   std::unique_ptr<hdc::serve::LocalPlane> local;
   bool locked = false;
   if (!sharded) {
