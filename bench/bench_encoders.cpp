@@ -86,7 +86,7 @@ void BM_MultiScaleEncodeCached(benchmark::State& state) {
 BENCHMARK(BM_MultiScaleEncodeCached);
 
 void BM_SequenceEncodeWord(benchmark::State& state) {
-  hdc::SequenceEncoder encoder(kDim, 4);
+  const hdc::SequenceEncoder encoder(kDim, 4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(encoder.encode_word("hyperdimensional"));
   }
@@ -96,18 +96,15 @@ BENCHMARK(BM_SequenceEncodeWord);
 
 void BM_NGramEncodeText(benchmark::State& state) {
   // The served text row: trigram windows of a line of state.range(0) bytes
-  // (42 is the mean text row, 1,024 the longest), warmed and const as the
-  // serving path calls it.
-  hdc::NGramEncoder encoder(kDim, 3, 7);
-  encoder.warm_bytes();
-  const hdc::NGramEncoder& frozen = encoder;
+  // (42 is the mean text row, 1,024 the longest).
+  const hdc::NGramEncoder encoder(kDim, 3, 7);
   std::string text;
   const std::string_view words = "the quick brown fox jumps over a dog ";
   while (text.size() < static_cast<std::size_t>(state.range(0))) {
     text += words[text.size() % words.size()];
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(frozen.encode(text));
+    benchmark::DoNotOptimize(encoder.encode(text));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -541,7 +541,7 @@ void report_serve_throughput() {
 // process — one raw sample per line through RowReader(Text), micro-batched
 // trigram encoding over the thread pool, class labels out — over a
 // trusted-mmap text-classifier pipeline.  Trigram encoding binds one
-// warmed byte-trigram vector per position, so the per-row cost scales with
+// byte-trigram window per position, so the per-row cost scales with
 // sample length, not feature arity; the CI gate pins a rows/s floor
 // against bench/baselines/BENCH_baseline.json.
 void report_text_throughput() {

@@ -369,12 +369,8 @@ void Worker::predict_classes(const io::Pipeline& served,
     }
     // Unbind against the served model; the scanned label basis is shared
     // with the base, so only the query changes.
-    const std::span<const std::uint64_t> model =
-        served.regressor().model().words();
     bound.resize(query.words().size());
-    for (std::size_t w = 0; w < bound.size(); ++w) {
-      bound[w] = model[w] ^ query.words()[w];
-    }
+    bits::xor_rows(bound, served.regressor().model().words(), query.words());
     const std::span<const std::uint64_t> unbound{bound};
     if (head) {
       for (std::size_t j = begin; j < end; ++j) {

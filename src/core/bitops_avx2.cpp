@@ -99,20 +99,6 @@ std::size_t avx2_count_ones(const std::uint64_t* words, std::size_t n) noexcept 
   return total;
 }
 
-void avx2_xor_into(std::uint64_t* dst, const std::uint64_t* src,
-                   std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i x = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), x);
-  }
-  for (; i < n; ++i) {
-    dst[i] ^= src[i];
-  }
-}
-
 void avx2_xor_rows(std::uint64_t* dst, const std::uint64_t* a,
                    const std::uint64_t* b, std::size_t n) noexcept {
   std::size_t i = 0;
@@ -229,7 +215,6 @@ constexpr Kernels kAvx2Kernels = {
     .nearest_hamming = avx2_nearest,
     .hamming_many = avx2_hamming_many,
     .count_ones = avx2_count_ones,
-    .xor_into = avx2_xor_into,
     .xor_rows = avx2_xor_rows,
     .accumulate = avx2_accumulate,
     .threshold = avx2_threshold,

@@ -89,19 +89,6 @@ std::size_t avx512_count_ones(const std::uint64_t* words,
   return total;
 }
 
-void avx512_xor_into(std::uint64_t* dst, const std::uint64_t* src,
-                     std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_si512(dst + i,
-                        _mm512_xor_si512(_mm512_loadu_si512(dst + i),
-                                         _mm512_loadu_si512(src + i)));
-  }
-  for (; i < n; ++i) {
-    dst[i] ^= src[i];
-  }
-}
-
 void avx512_xor_rows(std::uint64_t* dst, const std::uint64_t* a,
                      const std::uint64_t* b, std::size_t n) noexcept {
   std::size_t i = 0;
@@ -201,7 +188,6 @@ constexpr Kernels kAvx512Kernels = {
     .nearest_hamming = avx512_nearest,
     .hamming_many = avx512_hamming_many,
     .count_ones = avx512_count_ones,
-    .xor_into = avx512_xor_into,
     .xor_rows = avx512_xor_rows,
     .accumulate = avx512_accumulate,
     .threshold = avx512_threshold,

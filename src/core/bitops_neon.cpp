@@ -72,17 +72,6 @@ std::size_t neon_count_ones(const std::uint64_t* words, std::size_t n) noexcept 
   return total;
 }
 
-void neon_xor_into(std::uint64_t* dst, const std::uint64_t* src,
-                   std::size_t n) noexcept {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_u64(dst + i, veorq_u64(vld1q_u64(dst + i), vld1q_u64(src + i)));
-  }
-  for (; i < n; ++i) {
-    dst[i] ^= src[i];
-  }
-}
-
 void neon_xor_rows(std::uint64_t* dst, const std::uint64_t* a,
                    const std::uint64_t* b, std::size_t n) noexcept {
   std::size_t i = 0;
@@ -101,7 +90,6 @@ constexpr Kernels kNeonKernels = {
     .nearest_hamming = neon_nearest,
     .hamming_many = neon_hamming_many,
     .count_ones = neon_count_ones,
-    .xor_into = neon_xor_into,
     .xor_rows = neon_xor_rows,
     // Portable loops until a toolchain can test vector NEON bundling.
     .accumulate = portable_accumulate,

@@ -68,13 +68,6 @@ std::size_t scalar_count_ones(const std::uint64_t* words,
   return c0 + c1 + c2 + c3;
 }
 
-void scalar_xor_into(std::uint64_t* dst, const std::uint64_t* src,
-                     std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] ^= src[i];
-  }
-}
-
 void scalar_xor_rows(std::uint64_t* dst, const std::uint64_t* a,
                      const std::uint64_t* b, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) {
@@ -89,7 +82,6 @@ constexpr Kernels kScalarKernels = {
     .nearest_hamming = scalar_nearest,
     .hamming_many = scalar_hamming_many,
     .count_ones = scalar_count_ones,
-    .xor_into = scalar_xor_into,
     .xor_rows = scalar_xor_rows,
     .accumulate = portable_accumulate,
     .threshold = portable_threshold,

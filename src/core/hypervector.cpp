@@ -75,7 +75,7 @@ void Hypervector::mask_tail() noexcept {
 Hypervector& Hypervector::operator^=(HypervectorView other) {
   require(dimension_ == other.dimension(), "Hypervector::operator^=",
           "dimension mismatch");
-  bits::xor_into(words_, other.words());
+  bits::xor_rows(words_, words_, other.words());
   return *this;
 }
 

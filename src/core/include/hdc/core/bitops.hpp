@@ -11,7 +11,7 @@
 /// and equality work on whole words.
 ///
 /// The word kernels (hamming / nearest_hamming / hamming_many / count_ones
-/// / xor_into / xor_rows / accumulate / threshold / majority) are
+/// / xor_rows / accumulate / threshold / majority) are
 /// *dispatched*: each span function below is a thin shim over the
 /// process-wide `Kernels` table
 /// selected at startup from the compiled-in scalar / AVX2 / AVX-512 / NEON
@@ -80,12 +80,6 @@ inline void hamming_many(std::span<const std::uint64_t> query,
                          std::span<std::size_t> out) noexcept {
   active_kernels().hamming_many(query.data(), query.size(), arena.data(),
                                 stride, count, out.data());
-}
-
-/// dst ^= src, element-wise. \pre dst.size() == src.size().
-inline void xor_into(std::span<std::uint64_t> dst,
-                     std::span<const std::uint64_t> src) noexcept {
-  active_kernels().xor_into(dst.data(), src.data(), dst.size());
 }
 
 /// dst = a ^ b, element-wise; the allocation-free binding of two arena rows

@@ -49,6 +49,14 @@ class ItemMemory {
   /// insertion order.
   [[nodiscard]] const Hypervector& get(std::string_view symbol);
 
+  /// The vector a memory of (\p dimension, \p seed) assigns to \p symbol,
+  /// derived without a memory: the one derivation behind get() and the
+  /// text encoders' byte tables.  \throws std::invalid_argument if
+  /// dimension == 0.
+  [[nodiscard]] static Hypervector derive(std::size_t dimension,
+                                          std::uint64_t seed,
+                                          std::string_view symbol);
+
   /// Returns the hypervector if the symbol was already materialized.
   [[nodiscard]] const Hypervector* find(std::string_view symbol) const noexcept;
 

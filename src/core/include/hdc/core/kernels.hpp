@@ -9,10 +9,9 @@
 /// whole `hdc::serve` stack and every bundle — bottoms out in a handful of
 /// word kernels: fused XOR+popcount sweeps, the bundling
 /// accumulate/threshold pair behind `BundleAccumulator`, and the one-pass
-/// `majority` behind the key-value and n-gram encoders.  This header turns
-/// that kernel surface into a *selectable* API: a `Kernels` table of
-/// function pointers
-/// with one entry per primitive,
+/// `majority` behind the key-value, n-gram and sequence encoders.  This
+/// header turns that kernel surface into a *selectable* API: a `Kernels`
+/// table of function pointers with one entry per primitive,
 /// per-ISA implementations (scalar / AVX2 / AVX-512 VPOPCNTDQ / NEON)
 /// compiled into their own translation units with per-file ISA flags, and a
 /// process-wide active table chosen once at first use by a CPU-feature
@@ -52,21 +51,26 @@ struct NearestMatch {
 };
 
 /// The inputs of one majority bundle, described instead of materialized so
-/// that a bound pair or an n-gram window never needs a scratch row.  Every
-/// row holds words_for(dim) words with zero tail bits.
+/// that a bound pair, an n-gram window or a rotated symbol never needs a
+/// scratch row.  Every row holds words_for(dim) words with zero tail bits;
+/// ρ^s is a left rotation by s bits over the dimension.
 ///
-///  * codes == nullptr: input i is the XOR of rows[i * terms + t] over
-///    t < terms — key-value bindings K_i ⊕ V_i with terms = 2 over
+///  * positional: input i is ρ^{i+1}(S_i), the position-rotated symbol of
+///    a sequence bundle, with S_i = rows[codes[i]] (rows a per-byte symbol
+///    table, codes the count bytes of a word) or, without codes,
+///    S_i = rows[i]; terms is ignored;
+///  * otherwise, codes == nullptr: input i is the XOR of rows[i * terms + t]
+///    over t < terms — key-value bindings K_i ⊕ V_i with terms = 2 over
 ///    {K_0, V_0, K_1, V_1, ...}, plain rows with terms = 1;
 ///  * otherwise input i is the n-gram window ⊕_{t < terms} ρ^t(S_{i+t}),
-///    S_j = rows[codes[j]] and ρ^t a left rotation by t bits over the
-///    dimension: rows is a per-byte symbol table and codes the
+///    S_j = rows[codes[j]]: rows is a per-byte symbol table and codes the
 ///    count + terms - 1 bytes of text.
 struct MajorityInputs {
   const std::uint64_t* const* rows = nullptr;
   const unsigned char* codes = nullptr;
   std::size_t count = 0;
   std::size_t terms = 1;
+  bool positional = false;
 };
 
 /// One kernel variant: a name, a runtime CPU-support predicate, and the
@@ -103,10 +107,6 @@ struct Kernels {
 
   /// Population count over words[0..n).
   std::size_t (*count_ones)(const std::uint64_t* words, std::size_t n) noexcept;
-
-  /// dst[i] ^= src[i] for i in [0, n).
-  void (*xor_into)(std::uint64_t* dst, const std::uint64_t* src,
-                   std::size_t n) noexcept;
 
   /// dst[i] = a[i] ^ b[i] for i in [0, n); dst may alias a or b.
   void (*xor_rows)(std::uint64_t* dst, const std::uint64_t* a,

@@ -10,6 +10,13 @@
 /// encoder instead *binds* the permuted symbols of each length-n window and
 /// bundles the windows; this is the classic HDC text-classification
 /// encoding (Rahimi et al., 2016).
+///
+/// Both encoders read bytes from one dense table of the 256 one-byte
+/// symbol vectors, built at construction from the `ItemMemory` derivation
+/// (a symbol's vector depends only on (seed, symbol)).  Their byte entries
+/// are therefore const and read nothing else, so one encoder can be shared
+/// across serving threads behind a `shared_ptr<const>`.  Every bundle is
+/// one `bits::majority` pass; no rotated or windowed row is materialized.
 
 #include <cstdint>
 #include <span>
@@ -20,48 +27,36 @@
 
 namespace hdc {
 
-/// Position-aware sequence encoder backed by an `ItemMemory`.
-///
-/// The `ItemMemory` materializes symbol vectors lazily, so the mutable
-/// encode overloads are for training.  Serving shares one encoder across
-/// connections behind a `shared_ptr<const>`; call `warm_bytes()` once after
-/// construction and the const overloads then encode any byte string without
-/// ever mutating the memory (symbol vectors depend only on (seed, symbol),
-/// so warming never changes what a symbol encodes to).
+/// Position-aware sequence encoder.
 class SequenceEncoder {
  public:
   /// \throws std::invalid_argument if dimension == 0.
   SequenceEncoder(std::size_t dimension, std::uint64_t seed);
 
   /// Encodes a token sequence as ⊕_i Pi^i(R(token_i)) (1-based shifts, as in
-  /// the paper).  \throws std::invalid_argument if tokens is empty.
+  /// the paper).  Arbitrary tokens are materialized in an `ItemMemory` on
+  /// first use, so this entry is for training.
+  /// \throws std::invalid_argument if tokens is empty.
   [[nodiscard]] Hypervector encode(std::span<const std::string_view> tokens);
 
-  /// Convenience: encodes a word character by character.
-  /// \throws std::invalid_argument if word is empty.
-  [[nodiscard]] Hypervector encode_word(std::string_view word);
-
-  /// Materializes all 256 single-byte symbols, making every byte string
-  /// encodable through the const overloads.  Idempotent.
-  void warm_bytes();
-
-  /// Const encode_word over already-materialized symbols (serving path;
-  /// bit-identical to the mutable overload).  \throws std::invalid_argument
-  /// if word is empty; std::logic_error if a byte was never materialized
-  /// (call warm_bytes() first).
+  /// Encodes a word byte by byte: encode() over its one-byte tokens, read
+  /// from the byte table.  \throws std::invalid_argument if word is empty.
   [[nodiscard]] Hypervector encode_word(std::string_view word) const;
 
   [[nodiscard]] std::size_t dimension() const noexcept {
     return items_.dimension();
   }
+  /// The bundling tie-breaker: the bit a position-majority tie takes.
+  [[nodiscard]] const Hypervector& tie_breaker() const noexcept {
+    return tie_breaker_;
+  }
   /// The seed this encoder was created from; (dimension, seed) reconstructs
   /// it bit-exactly, which is all a snapshot section needs to store.
   [[nodiscard]] std::uint64_t seed() const noexcept { return items_.seed(); }
-  [[nodiscard]] ItemMemory& items() noexcept { return items_; }
-  [[nodiscard]] const ItemMemory& items() const noexcept { return items_; }
 
  private:
   ItemMemory items_;
+  std::vector<std::uint64_t> bytes_;
   Hypervector tie_breaker_;
 };
 
@@ -74,35 +69,25 @@ class NGramEncoder {
 
   /// Encodes text; texts shorter than n are encoded as a single partial
   /// window.  \throws std::invalid_argument if text is empty.
-  [[nodiscard]] Hypervector encode(std::string_view text);
-
-  /// Materializes all 256 single-byte symbols for the const overload.
-  /// Idempotent.
-  void warm_bytes();
-
-  /// Const encode over already-materialized symbols (serving path;
-  /// bit-identical to the mutable overload).  \throws std::invalid_argument
-  /// if text is empty; std::logic_error if a byte was never materialized
-  /// (call warm_bytes() first).
   [[nodiscard]] Hypervector encode(std::string_view text) const;
 
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
   [[nodiscard]] std::size_t dimension() const noexcept {
-    return items_.dimension();
+    return tie_breaker_.dimension();
   }
   /// The bundling tie-breaker: the bit a window-majority tie takes.
   [[nodiscard]] const Hypervector& tie_breaker() const noexcept {
     return tie_breaker_;
   }
-  [[nodiscard]] const ItemMemory& items() const noexcept { return items_; }
   /// The seed this encoder was created from; (dimension, n, seed)
   /// reconstructs it bit-exactly.
-  [[nodiscard]] std::uint64_t seed() const noexcept { return items_.seed(); }
+  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
  private:
-  ItemMemory items_;
   std::size_t n_;
+  std::uint64_t seed_;
   Hypervector tie_breaker_;
+  std::vector<std::uint64_t> bytes_;
 };
 
 }  // namespace hdc

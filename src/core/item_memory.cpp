@@ -24,11 +24,16 @@ const Hypervector& ItemMemory::get(std::string_view symbol) {
   if (it != table_.end()) {
     return it->second;
   }
-  Rng rng(derive_seed(seed_, fnv1a64(symbol)));
-  auto [inserted, _] =
-      table_.emplace(std::string(symbol), Hypervector::random(dimension_, rng));
+  auto [inserted, _] = table_.emplace(std::string(symbol),
+                                      derive(dimension_, seed_, symbol));
   order_.push_back(inserted->first);
   return inserted->second;
+}
+
+Hypervector ItemMemory::derive(std::size_t dimension, std::uint64_t seed,
+                               std::string_view symbol) {
+  Rng rng(derive_seed(seed, fnv1a64(symbol)));
+  return Hypervector::random(dimension, rng);
 }
 
 const Hypervector* ItemMemory::find(std::string_view symbol) const noexcept {

@@ -355,6 +355,38 @@ struct WrappedWindows {
   }
 };
 
+/// Symbol row of positional input i: looked up through the byte codes of a
+/// word, or row i of a token sequence.
+inline const std::uint64_t* position_row(const MajorityInputs& in,
+                                         std::size_t i) noexcept {
+  return in.rows[in.codes != nullptr ? in.codes[i] : i];
+}
+
+/// Input chunks of position-rotated symbols away from the wrap: input i is
+/// its row rotated by i + 1 bits, so every word is a funnel shift of two
+/// adjacent words of that row.
+/// \pre w exceeds every input's word shift, so neither load leaves the row.
+template <typename Lanes>
+struct Positions {
+  const MajorityInputs& in;
+  std::size_t dim;
+  typename Lanes::V operator()(std::size_t i, std::size_t w) const noexcept {
+    const std::size_t shift = term_shift(i + 1, dim);
+    return Lanes::funnel(position_row(in, i) + w - shift / 64,
+                         static_cast<unsigned>(shift % 64));
+  }
+};
+
+/// Words of position-rotated symbols where a rotation may wrap, one at a
+/// time.
+struct WrappedPositions {
+  const MajorityInputs& in;
+  std::size_t dim;
+  std::uint64_t operator()(std::size_t i, std::size_t w) const noexcept {
+    return rotated_word(position_row(in, i), dim, w, term_shift(i + 1, dim));
+  }
+};
+
 /// Majority of words [begin, end) in Lanes-wide chunks; the last chunk is
 /// pulled back to end at \p end and recomputes a few words with the same
 /// result, so no chunk reads past a row.  \pre end - begin >= kWords.
@@ -375,6 +407,26 @@ inline void majority_span(const MajorityInputs& in,
   }
 }
 
+/// Majority of rotated inputs: the words below \p head, where a rotation
+/// may wrap, one at a time through \p Wrapped; the rest in Lanes-wide
+/// chunks through \p Terms.
+template <typename Lanes, typename Wrapped, template <typename> class Terms>
+inline void rotated_majority(const MajorityInputs& in,
+                             const std::uint64_t* tie_words,
+                             std::uint64_t* out, std::size_t high_planes,
+                             std::size_t head, std::size_t words,
+                             std::size_t dim) noexcept {
+  const Wrapped wrapped{in, dim};
+  for (std::size_t w = 0; w < head; ++w) {
+    out[w] = majority_chunk<WordLanes>(wrapped, in.count, high_planes, w,
+                                       tie_words[w]);
+  }
+  if (head < words) {
+    majority_span<Lanes, Terms>(in, tie_words, out, high_planes, head, words,
+                                dim);
+  }
+}
+
 /// Kernels::majority over any lane type.
 template <typename Lanes>
 inline void majority_rows(const MajorityInputs& in,
@@ -384,11 +436,13 @@ inline void majority_rows(const MajorityInputs& in,
   if (words == 0) {
     return;
   }
-  // Words below `head` hold wrapped bits of some n-gram term, or would read
-  // before its row in a funnel shift: those go through rotated_word().
+  // Words below `head` hold wrapped bits of some rotated input or term, or
+  // would read before its row in a funnel shift: those go through
+  // rotated_word().
   std::size_t head = 0;
-  if (in.codes != nullptr) {
-    const std::size_t max_shift = in.terms - 1 < dim ? in.terms - 1 : dim - 1;
+  if (in.positional || in.codes != nullptr) {
+    const std::size_t reach = in.positional ? in.count : in.terms - 1;
+    const std::size_t max_shift = reach < dim ? reach : dim - 1;
     head = max_shift / 64 + 1 < words ? max_shift / 64 + 1 : words;
   }
   if constexpr (Lanes::kWords > 1) {
@@ -403,7 +457,10 @@ inline void majority_rows(const MajorityInputs& in,
     ++planes;
   }
   const std::size_t high_planes = planes > 4 ? planes - 4 : 0;
-  if (in.codes == nullptr) {
+  if (in.positional) {
+    rotated_majority<Lanes, WrappedPositions, Positions>(
+        in, tie_words, out, high_planes, head, words, dim);
+  } else if (in.codes == nullptr) {
     if (in.terms == 2) {
       majority_span<Lanes, BoundPairs>(in, tie_words, out, high_planes, 0,
                                        words);
@@ -412,15 +469,8 @@ inline void majority_rows(const MajorityInputs& in,
                                       words);
     }
   } else {
-    const WrappedWindows wrapped{in, dim};
-    for (std::size_t w = 0; w < head; ++w) {
-      out[w] = majority_chunk<WordLanes>(wrapped, in.count, high_planes, w,
-                                         tie_words[w]);
-    }
-    if (head < words) {
-      majority_span<Lanes, Windows>(in, tie_words, out, high_planes, head,
-                                    words, dim);
-    }
+    rotated_majority<Lanes, WrappedWindows, Windows>(
+        in, tie_words, out, high_planes, head, words, dim);
   }
   const std::size_t rem = dim % 64;
   if (rem != 0) {

@@ -107,7 +107,7 @@ class Pipeline {
   [[nodiscard]] double regress(std::span<const double> features) const;
 
   /// Encodes one raw text row exactly as the written pipeline did (the
-  /// const, warmed-symbol path — safe to call concurrently).  \throws
+  /// encoder's const byte-table path — safe to call concurrently).  \throws
   /// std::logic_error on a numeric pipeline; std::invalid_argument if text
   /// is empty.
   [[nodiscard]] Hypervector encode_text(std::string_view text) const;
@@ -199,8 +199,6 @@ class Pipeline {
   std::shared_ptr<const KeyValueEncoder> features_;
   ScalarEncoderPtr scalar_;
   std::shared_ptr<const ComposedEncoder> composed_;
-  /// Text encoders are warmed (warm_bytes()) before being frozen const, so
-  /// encode_text() never mutates shared state.
   std::shared_ptr<const SequenceEncoder> sequence_;
   std::shared_ptr<const NGramEncoder> ngram_;
   std::shared_ptr<const CentroidClassifier> classifier_;

@@ -170,15 +170,13 @@ class SnapshotWriter {
   std::vector<Pending> sections_;
 };
 
-/// Residency hints for the mapped file (POSIX mmap backend only; both
-/// fields are documented no-ops on the heap fallback and on non-POSIX
-/// platforms, where the pages are ordinary owned memory anyway).
+/// Residency options for the mapped file (POSIX mmap backend only; a
+/// documented no-op on the heap fallback and on non-POSIX platforms, where
+/// the pages are ordinary owned memory anyway).  The mapping is always
+/// madvise(MADV_WILLNEED)-prefetched right after mmap, so the first serving
+/// request touches warm pages instead of paying cold-start major faults
+/// one 4 KiB page at a time.
 struct MappingOptions {
-  /// Issue madvise(MADV_WILLNEED) over the whole mapping right after
-  /// mmap so the kernel starts read-ahead immediately: the first serving
-  /// request then touches warm pages instead of paying cold-start major
-  /// faults one 4 KiB page at a time.
-  bool willneed = true;
   /// Pin the mapping with mlock(2) so a payload access can never major-
   /// fault once serving has started (tail-latency insurance for
   /// `hdcgen serve --mlock`).  Needs RLIMIT_MEMLOCK headroom for the

@@ -158,12 +158,10 @@ MappedSnapshot MappedSnapshot::open(const std::string& path,
   impl->data = static_cast<const std::byte*>(mapping);
   impl->bytes = size;
   impl->mapped = true;
-  if (mapping_options.willneed) {
-    // Purely advisory read-ahead over the whole mapping (offsets inside it
-    // need not be page-aligned; the mapping base is): failure changes
-    // warm-up behaviour only, so it is deliberately not checked.
-    ::madvise(mapping, size, MADV_WILLNEED);
-  }
+  // Purely advisory read-ahead over the whole mapping (offsets inside it
+  // need not be page-aligned; the mapping base is): failure changes warm-up
+  // behaviour only, so it is deliberately not checked.
+  ::madvise(mapping, size, MADV_WILLNEED);
   if (mapping_options.lock_memory) {
     if (::mlock(mapping, size) != 0) {
       // impl's destructor unmaps; do not serve with a silently unpinned
@@ -184,8 +182,8 @@ MappedSnapshot MappedSnapshot::open(const std::string& path,
   impl->heap = slurp(in, byte_size);
   impl->data = reinterpret_cast<const std::byte*>(impl->heap.data());
   impl->bytes = byte_size;
-  // Residency hints are meaningless for an owned heap buffer; the options
-  // are documented no-ops here.
+  // Residency options are meaningless for an owned heap buffer; they are
+  // documented no-ops here.
   (void)mapping_options;
 #endif
   impl->parse();

@@ -59,19 +59,12 @@ Pipeline Pipeline::restore(const MappedSnapshot& snapshot,
           snapshot.composed_encoder(encoder_index));
       break;
     case SectionType::SequenceEncoderConfig:
-      // Warm every single-byte symbol *before* freezing the encoder const:
-      // serving shares one encoder across threads, and the const encode
-      // path only reads already-materialized symbols.
       if (snapshot.section(encoder_index).kind == 0) {
-        auto sequence = std::make_shared<SequenceEncoder>(
+        pipeline.sequence_ = std::make_shared<SequenceEncoder>(
             snapshot.sequence_encoder(encoder_index));
-        sequence->warm_bytes();
-        pipeline.sequence_ = std::move(sequence);
       } else {
-        auto ngram = std::make_shared<NGramEncoder>(
+        pipeline.ngram_ = std::make_shared<NGramEncoder>(
             snapshot.ngram_encoder(encoder_index));
-        ngram->warm_bytes();
-        pipeline.ngram_ = std::move(ngram);
       }
       break;
     default:

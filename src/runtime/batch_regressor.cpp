@@ -75,21 +75,13 @@ std::vector<double> BatchRegressor::predict(const VectorArena& queries) const {
   }
   require(queries.dimension() == dimension(), "BatchRegressor::predict",
           "query dimension mismatch");
-  const ScalarEncoder& label_encoder = model_.labels();
-  const Hypervector& model_hv = model_.model();
   std::vector<double> out(queries.size());
   pool_->for_chunks(queries.size(), [&](std::size_t begin, std::size_t end,
                                         std::size_t /*chunk*/) {
     // Per-chunk scratch: M ⊗ query is rebuilt in place for each row.
-    Hypervector bound(dimension());
+    std::vector<std::uint64_t> bound(bits::words_for(dimension()));
     for (std::size_t i = begin; i < end; ++i) {
-      const auto query = queries.words(i);
-      const auto model_words = model_hv.words();
-      const auto scratch = bound.words();
-      for (std::size_t w = 0; w < scratch.size(); ++w) {
-        scratch[w] = model_words[w] ^ query[w];
-      }
-      out[i] = label_encoder.decode(bound);
+      out[i] = model_.predict(queries.words(i), bound);
     }
   });
   return out;
@@ -104,21 +96,16 @@ std::vector<Band> BatchRegressor::predict_band(
   }
   require(queries.dimension() == dimension(), "BatchRegressor::predict_band",
           "query dimension mismatch");
-  const ScalarEncoder& label_encoder = model_.labels();
-  const Basis& basis = label_encoder.basis();
-  const Hypervector& model_hv = model_.model();
   std::vector<Band> out(queries.size());
   pool_->for_chunks(queries.size(), [&](std::size_t begin, std::size_t end,
                                         std::size_t /*chunk*/) {
     // Per-chunk scratch (bound query + distance profile) reused across
     // rows so the hot loop never allocates.
-    Hypervector bound(dimension());
-    std::vector<std::size_t> distances(basis.size());
+    std::vector<std::uint64_t> bound(bits::words_for(dimension()));
+    std::vector<std::size_t> distances(model_.labels().size());
     for (std::size_t i = begin; i < end; ++i) {
-      bits::xor_rows(bound.words(), model_hv.words(), queries.words(i));
-      bits::hamming_many(bound.words(), basis.packed_words(),
-                         basis.words_per_vector(), basis.size(), distances);
-      out[i] = band_from_distances(distances, label_encoder, dimension());
+      out[i] =
+          model_.predict_with_band(queries.words(i), bound, distances).band;
     }
   });
   return out;

@@ -8,10 +8,8 @@
 /// `NGramEncoder`, a `SequenceEncoder`'s encode_word, ...) and maps it over
 /// a batch of raw text rows on the thread pool.  Each worker writes its
 /// rows into disjoint arena slots, so the output is bit-identical for every
-/// thread count.  The wrapped function must be const-safe — for the
-/// library's text encoders that means `warm_bytes()` was called before the
-/// encoder was frozen behind a `shared_ptr<const>` (hdc::io::Pipeline's
-/// restore path does this).
+/// thread count.  The wrapped function must be const-safe, as the
+/// library's text encoders' const entries are.
 
 #include <cstddef>
 #include <functional>

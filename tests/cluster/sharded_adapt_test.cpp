@@ -107,7 +107,7 @@ TEST(ShardedAdaptTest, BroadcastFeedbackMatchesSingleProcessOverlay) {
 
 TEST(ShardedAdaptTest, TextFeedbackMatchesSingleProcessOverlay) {
   // The raw-text twin of the parity test above: adapt_text broadcasts one
-  // raw sample, every rank encodes it with the warmed text encoder, and
+  // raw sample, every rank encodes it with its text encoder, and
   // the cluster must stay bit-identical to a single-process AdaptiveState
   // fed the same stream — outcomes, then head-carrying predictions.
   const std::string path =

@@ -2,13 +2,13 @@
 // variant (scalar / AVX2 / AVX-512 / NEON) must be bit-exact with the
 // scalar reference on the full primitive matrix — hamming, nearest_hamming
 // (including its lowest-index tie-break), hamming_many, count_ones,
-// xor_into, xor_rows, the bundling pair accumulate / threshold (zero
+// xor_rows (aliased too), the bundling pair accumulate / threshold (zero
 // ties, tail bits, counters past the dimension) and the one-pass majority
-// against that pair (plain rows, bound pairs, rotated n-gram windows, even
-// counts' ties, a canary word past the output) — across dimensions that
-// exercise every word-count shape: single partial word, exact word
-// boundaries, one-past boundaries, and the paper-scale d = 10000 / 10240.
-// Variants are forced through
+// against that pair (plain rows, bound pairs, rotated n-gram windows,
+// position-rotated symbols, even counts' ties, a canary word past the
+// output) — across dimensions that exercise every word-count shape: single
+// partial word, exact word boundaries, one-past boundaries, and the
+// paper-scale d = 10000 / 10240.  Variants are forced through
 // select_kernels(), the same switch HDC_KERNELS reaches at init, so this
 // suite is also the regression net for the dispatcher itself.
 
@@ -178,10 +178,6 @@ TEST_P(KernelVariantTest, XorMatchesScalarAndPreservesTailInvariant) {
     EXPECT_EQ(rows_out, expected) << "variant " << GetParam() << " d=" << dim;
     // Tail-masked inputs must produce a tail-masked XOR.
     EXPECT_EQ(rows_out.back() & ~bits::tail_mask(dim), 0U);
-
-    std::vector<std::uint64_t> into_out(a);
-    bits::xor_into(into_out, b);
-    EXPECT_EQ(into_out, expected) << "variant " << GetParam() << " d=" << dim;
 
     // Aliased xor_rows(dst = dst ^ b) is part of the contract.
     std::vector<std::uint64_t> aliased(a);
@@ -520,6 +516,51 @@ TEST_P(KernelVariantTest, MajorityBuildsRotatedWindows) {
             << "variant " << GetParam() << " d=" << dim << " n=" << count
             << " terms=" << terms;
       }
+    }
+  }
+}
+
+TEST_P(KernelVariantTest, MajorityRotatesByPosition) {
+  for (const std::size_t dim : kDims) {
+    Rng rng(dim * 43 + 12);
+    const auto tie = random_words(dim, rng);
+    // A 7-row symbol table: a word addresses it through byte codes, as the
+    // sequence encoder reads one; a token sequence passes its rows.
+    std::vector<std::vector<std::uint64_t>> table;
+    for (int s = 0; s < 7; ++s) {
+      table.push_back(random_words(dim, rng));
+    }
+    const auto pointers = row_pointers(table);
+    // Input i rotates by i + 1: 63..65 and 130 past one and two words,
+    // 1025 past every small dimension.
+    for (const std::size_t count : {1, 2, 18, 63, 64, 65, 130, 1025}) {
+      std::vector<unsigned char> codes(count);
+      for (auto& code : codes) {
+        code = static_cast<unsigned char>(rng() % table.size());
+      }
+      std::vector<std::vector<std::uint64_t>> rotated;
+      std::vector<const std::uint64_t*> rows;
+      for (std::size_t i = 0; i < count; ++i) {
+        std::vector<std::uint64_t> row(tie.size());
+        bits::rotate_left(table[codes[i]], row, dim, i + 1);
+        rotated.push_back(std::move(row));
+        rows.push_back(pointers[codes[i]]);
+      }
+      const auto expected = reference_majority(rotated, tie, dim);
+      bits::MajorityInputs inputs;
+      inputs.rows = pointers.data();
+      inputs.codes = codes.data();
+      inputs.count = count;
+      inputs.terms = 3;  // ignored by the positional shape
+      inputs.positional = true;
+      EXPECT_EQ(dispatched_majority(inputs, tie, dim), expected)
+          << "variant " << GetParam() << " d=" << dim << " n=" << count
+          << " codes";
+      inputs.rows = rows.data();
+      inputs.codes = nullptr;
+      EXPECT_EQ(dispatched_majority(inputs, tie, dim), expected)
+          << "variant " << GetParam() << " d=" << dim << " n=" << count
+          << " rows";
     }
   }
 }

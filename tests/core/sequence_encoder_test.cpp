@@ -6,19 +6,32 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "hdc/base/rng.hpp"
 #include "hdc/core/accumulator.hpp"
+#include "hdc/core/item_memory.hpp"
 #include "hdc/core/kernels.hpp"
 #include "hdc/core/ops.hpp"
 
 namespace {
 
+using hdc::ItemMemory;
 using hdc::NGramEncoder;
 using hdc::SequenceEncoder;
+
+/// Seeded random bytes, every value 0..255 possible.
+std::string random_bytes(std::size_t length, std::uint64_t seed) {
+  hdc::Rng rng(seed);
+  std::string bytes(length, '\0');
+  for (char& c : bytes) {
+    c = static_cast<char>(rng() & 0xFFU);
+  }
+  return bytes;
+}
 
 TEST(SequenceEncoderTest, ValidatesArguments) {
   EXPECT_THROW(SequenceEncoder(0, 1), std::invalid_argument);
@@ -53,9 +66,77 @@ TEST(SequenceEncoderTest, SharedTokensPreserveSimilarity) {
 }
 
 TEST(SequenceEncoderTest, WordEncodingMatchesTokenEncoding) {
+  // encode_word reads the byte table and encode() the item memory, so
+  // equal codes mean both derive the same row for every byte.
   SequenceEncoder enc(2'048, 14);
   const std::vector<std::string_view> tokens{"c", "a", "t"};
   EXPECT_EQ(enc.encode(tokens), enc.encode_word("cat"));
+  for (unsigned b = 0; b < 256; ++b) {
+    const char byte = static_cast<char>(b);
+    const std::string_view symbol(&byte, 1);
+    const std::vector<std::string_view> one{symbol};
+    EXPECT_EQ(enc.encode(one), enc.encode_word(symbol)) << "byte " << b;
+  }
+}
+
+TEST(SequenceEncoderTest, CopyOutlivesItsOriginal) {
+  auto original = std::make_unique<SequenceEncoder>(1'000, 15);
+  const hdc::Hypervector expected = original->encode_word("surgeons");
+  const SequenceEncoder copy = *original;
+  original.reset();
+  EXPECT_EQ(copy.encode_word("surgeons"), expected);
+}
+
+/// The sequence bundle built the long way: every symbol drawn from an
+/// independent ItemMemory of the encoder's seed, rotated with permute()
+/// and counted in a BundleAccumulator — the oracle the positional majority
+/// shape must reproduce bit for bit.
+hdc::Hypervector reference_sequence(
+    const SequenceEncoder& enc, std::span<const std::string_view> tokens) {
+  ItemMemory items(enc.dimension(), enc.seed());
+  hdc::BundleAccumulator acc(enc.dimension());
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    acc.add(hdc::permute(items.get(tokens[i]), i + 1));
+  }
+  return acc.finalize(enc.tie_breaker());
+}
+
+TEST(SequenceEncoderTest, MatchesAccumulatorOracleForEveryKernel) {
+  // Lengths 63..65 and 1,024..1,100 rotate symbols past one word, and past
+  // the dimension at d <= 1,100; 1,100 inputs also count past 1,023 (an
+  // eleventh counter plane).
+  constexpr std::size_t kLengths[] = {1, 2, 3, 16, 63, 64, 65, 1'024, 1'100};
+  constexpr std::size_t kDims[] = {1, 63, 64, 65, 127, 10'000, 10'240};
+  const std::string bytes = random_bytes(1'102, 0x736571);
+  const std::string previous = hdc::bits::active_kernels().name;
+  for (const std::size_t dim : kDims) {
+    const SequenceEncoder enc(dim, 26 + dim);
+    // A token sequence of one- to three-byte tokens, some repeated.
+    std::vector<std::string_view> tokens;
+    for (std::size_t i = 0; i < 1'100; ++i) {
+      tokens.push_back(std::string_view(bytes).substr(i, 1 + i % 3));
+    }
+    for (const std::size_t length : kLengths) {
+      const std::string_view word(bytes.data(), length);
+      std::vector<std::string_view> symbols;
+      for (std::size_t i = 0; i < length; ++i) {
+        symbols.push_back(word.substr(i, 1));
+      }
+      const hdc::Hypervector word_expected = reference_sequence(enc, symbols);
+      const std::span<const std::string_view> prefix(tokens.data(), length);
+      const hdc::Hypervector tokens_expected = reference_sequence(enc, prefix);
+      for (const hdc::bits::Kernels* variant :
+           hdc::bits::available_kernels()) {
+        hdc::bits::select_kernels(variant->name);
+        EXPECT_EQ(enc.encode_word(word), word_expected)
+            << variant->name << " d=" << dim << " length=" << length;
+        SequenceEncoder trainer(dim, 26 + dim);
+        EXPECT_EQ(trainer.encode(prefix), tokens_expected)
+            << variant->name << " d=" << dim << " length=" << length;
+      }
+    }
+  }
+  hdc::bits::select_kernels(previous);
 }
 
 TEST(NGramEncoderTest, ValidatesArguments) {
@@ -95,13 +176,23 @@ TEST(NGramEncoderTest, AnagramsDiffer) {
             0.3);
 }
 
-/// The n-gram bundle built the long way: every window materialized with
-/// permute() and bind(), then counted in a BundleAccumulator — the oracle
-/// the one-pass majority kernel must reproduce bit for bit.
+TEST(NGramEncoderTest, CopyOutlivesItsOriginal) {
+  auto original = std::make_unique<NGramEncoder>(1'000, 3, 27);
+  const hdc::Hypervector expected = original->encode("the quick brown fox");
+  const NGramEncoder copy = *original;
+  original.reset();
+  EXPECT_EQ(copy.encode("the quick brown fox"), expected);
+}
+
+/// The n-gram bundle built the long way: every symbol drawn from an
+/// independent ItemMemory of the encoder's seed, every window materialized
+/// with permute() and bind(), then counted in a BundleAccumulator — the
+/// oracle the one-pass majority kernel must reproduce bit for bit.
 hdc::Hypervector reference_ngrams(const NGramEncoder& enc,
                                   std::string_view text) {
+  ItemMemory items(enc.dimension(), enc.seed());
   const auto symbol = [&](std::size_t at) -> const hdc::Hypervector& {
-    return *enc.items().find(text.substr(at, 1));
+    return items.get(text.substr(at, 1));
   };
   const std::size_t window = std::min(enc.n(), text.size());
   hdc::BundleAccumulator acc(enc.dimension());
@@ -120,27 +211,17 @@ TEST(NGramEncoderTest, MatchesAccumulatorOracleForEveryKernel) {
   // 1,024 the longest served row and 1,100 counts past 1,023 windows (an
   // eleventh counter plane); gram 70 rotates terms past one word.
   constexpr std::size_t kLengths[] = {1, 2, 3, 42, 1'024, 1'100};
-  hdc::Rng rng(0x6E6772);
-  std::string bytes(1'100, '\0');
-  for (char& c : bytes) {
-    c = static_cast<char>(rng() & 0xFFU);
-  }
+  const std::string bytes = random_bytes(1'100, 0x6E6772);
   const std::string previous = hdc::bits::active_kernels().name;
   for (const std::size_t gram : {1, 3, 70}) {
-    NGramEncoder warmed(10'000, gram, 25 + gram);
-    warmed.warm_bytes();
-    const NGramEncoder& frozen = warmed;
+    const NGramEncoder enc(10'000, gram, 25 + gram);
     for (const std::size_t length : kLengths) {
       const std::string_view text(bytes.data(), length);
-      const hdc::Hypervector expected = reference_ngrams(frozen, text);
+      const hdc::Hypervector expected = reference_ngrams(enc, text);
       for (const hdc::bits::Kernels* variant :
            hdc::bits::available_kernels()) {
         hdc::bits::select_kernels(variant->name);
-        EXPECT_EQ(frozen.encode(text), expected)
-            << variant->name << " n=" << gram << " length=" << length;
-        // The mutable overload materializes its symbols on the way.
-        NGramEncoder lazy(10'000, gram, 25 + gram);
-        EXPECT_EQ(lazy.encode(text), expected)
+        EXPECT_EQ(enc.encode(text), expected)
             << variant->name << " n=" << gram << " length=" << length;
       }
     }

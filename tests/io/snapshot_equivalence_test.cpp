@@ -317,31 +317,6 @@ TEST(SnapshotEquivalenceTest, HeapLoaderMatchesMappedLoader) {
   std::filesystem::remove(path);
 }
 
-TEST(SnapshotEquivalenceTest, MappingOptionsPreserveEquivalence) {
-  const Basis original = make_basis(BasisKind::Circular);
-  const std::string path = temp_file("equiv_mapping_options.hdcs");
-  SnapshotWriter writer;
-  writer.add_basis(original);
-  writer.write_file(path);
-
-  // willneed is the default; turning it off must be purely a residency
-  // hint with no effect on the served bytes.
-  hdc::io::MappingOptions cold;
-  cold.willneed = false;
-  const auto plain = MappedSnapshot::open(path);
-  const auto hinted = MappedSnapshot::open(
-      path, hdc::io::SnapshotIntegrity::Checksum, cold);
-  EXPECT_FALSE(plain.locked());
-  EXPECT_FALSE(hinted.locked());
-  ASSERT_EQ(hinted.section_count(), plain.section_count());
-  const Basis plain_basis = plain.basis(0);
-  const Basis hinted_basis = hinted.basis(0);
-  for (std::size_t i = 0; i < plain_basis.size(); ++i) {
-    EXPECT_TRUE(hinted_basis[i] == plain_basis[i]) << "row " << i;
-  }
-  std::filesystem::remove(path);
-}
-
 TEST(SnapshotEquivalenceTest, LockMemoryPinsMappingOrFailsLoudly) {
   const Basis original = make_basis(BasisKind::Random);
   const std::string path = temp_file("equiv_mlock.hdcs");
@@ -349,6 +324,8 @@ TEST(SnapshotEquivalenceTest, LockMemoryPinsMappingOrFailsLoudly) {
   writer.add_basis(original);
   writer.write_file(path);
 
+  // Without lock_memory the mapping is never pinned.
+  EXPECT_FALSE(MappedSnapshot::open(path).locked());
   hdc::io::MappingOptions pinned;
   pinned.lock_memory = true;
   // mlock needs RLIMIT_MEMLOCK headroom, which sandboxed CI runners may
